@@ -10,15 +10,16 @@ oracle *correct*, not just complete.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
 
 
 def _run(enabled: bool):
     program = load_program("fig1b")
-    gen = TestGen(program, target=V1Model(), seed=1)
-    explorer = gen.explorer(concolic_enabled=enabled)
+    gen = TestGen(program, target=V1Model(),
+                  config=TestGenConfig(seed=1, concolic_enabled=enabled))
+    explorer = gen.explorer()
     tests = list(explorer.run())
     passed, _ = run_suite(tests, program)
     return {

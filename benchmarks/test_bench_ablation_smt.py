@@ -15,7 +15,7 @@ generation run, is:
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.smt import terms as T
 from repro.targets import V1Model
 
@@ -24,8 +24,9 @@ def _run():
     import time
 
     t0 = time.perf_counter()
-    gen = TestGen(load_program("middleblock"), target=V1Model(), seed=1)
-    explorer = gen.explorer(max_tests=60)
+    gen = TestGen(load_program("middleblock"), target=V1Model(),
+                  config=TestGenConfig(seed=1, max_tests=60))
+    explorer = gen.explorer()
     tests = list(explorer.run())
     return {
         "tests": len(tests),

@@ -8,7 +8,7 @@ the middleblock analogue: tests needed to reach a fixed coverage level.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 
 TARGET_COVERAGE = 95.0
@@ -17,10 +17,10 @@ CAP = 120
 
 def _tests_to_coverage(strategy: str) -> tuple[int, float]:
     gen = TestGen(
-        load_program("middleblock"), target=V1Model(), seed=7,
-        strategy=strategy,
+        load_program("middleblock"), target=V1Model(),
+        config=TestGenConfig(seed=7, strategy=strategy, max_tests=CAP),
     )
-    explorer = gen.explorer(max_tests=CAP)
+    explorer = gen.explorer()
     count = 0
     for _test in explorer.run():
         count += 1

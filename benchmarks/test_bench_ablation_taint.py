@@ -10,7 +10,7 @@ tests, only fewer ones).
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
 
@@ -19,7 +19,8 @@ def _run(mitigation: bool):
     target = V1Model()
     target.taint_wildcard_mitigation = mitigation
     program = load_program("taint_key")
-    result = TestGen(program, target=target, seed=1).run()
+    result = TestGen(program, target=target,
+                     config=TestGenConfig(seed=1)).run()
     passed, _ = run_suite(result.tests, program)
     return {
         "tests": len(result.tests),

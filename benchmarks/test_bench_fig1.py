@@ -8,7 +8,7 @@ test, and the concolic checksum relationship.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.externs.checksum import ones_complement16
 from repro.targets import V1Model
 
@@ -35,7 +35,8 @@ def test_fig1_example_tables(benchmark):
         rows = []
         results = {}
         for name in ("fig1a", "fig1b"):
-            result = TestGen(load_program(name), target=V1Model(), seed=1).run()
+            result = TestGen(load_program(name), target=V1Model(),
+                             config=TestGenConfig(seed=1)).run()
             results[name] = result
             rows.append(f"--- {name} ---")
             rows.append("| Size In       | Size Out       | Table configuration")

@@ -28,8 +28,9 @@ from repro.targets import V1Model
 def test_fig7_cpu_split(benchmark):
     def run():
         t0 = time.perf_counter()
-        gen = TestGen(load_program("middleblock"), target=V1Model(), seed=1)
-        explorer = gen.explorer(max_tests=120)
+        gen = TestGen(load_program("middleblock"), target=V1Model(),
+                      config=TestGenConfig(seed=1, max_tests=120))
+        explorer = gen.explorer()
         tests = list(explorer.run())
         wall = time.perf_counter() - t0
         return explorer, tests, wall

@@ -7,7 +7,7 @@ end, then replaying it on the matching software model.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import EbpfModel, T2na, Tna, V1Model
 from repro.testback import get_backend
 from repro.testback.runner import run_suite
@@ -26,7 +26,8 @@ def test_tbl1_extension_matrix(benchmark):
         all_pass = True
         for arch, target_cls, device, program_name, backends in MATRIX:
             program = load_program(program_name)
-            result = TestGen(program, target=target_cls(), seed=1).run(max_tests=5)
+            result = TestGen(program, target=target_cls(),
+                             config=TestGenConfig(seed=1)).run(max_tests=5)
             rendered = []
             for backend in backends:
                 text = get_backend(backend).render_suite(result.tests)

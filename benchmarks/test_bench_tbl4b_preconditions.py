@@ -10,7 +10,7 @@ coverage stays at 100% throughout.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import Preconditions, V1Model
 
 CONFIGS = [
@@ -29,7 +29,7 @@ def test_tbl4b_preconditions(benchmark):
             result = TestGen(
                 load_program("middleblock"),
                 target=V1Model(preconditions=pre),
-                seed=1,
+                config=TestGenConfig(seed=1),
             ).run()
             rows.append((label, len(result.tests), result.statement_coverage))
         return rows

@@ -15,7 +15,7 @@ behaviour count are strictly worse.
 
 from _util import once, report
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.oracle.baselines import SpecOnlyV1Model
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
@@ -23,7 +23,8 @@ from repro.testback.runner import run_suite
 
 def _evaluate(tool_name, target, program_name):
     program = load_program(program_name)
-    result = TestGen(program, target=target, seed=1).run()
+    result = TestGen(program, target=target,
+                     config=TestGenConfig(seed=1)).run()
     passed, _ = run_suite(result.tests, program)
     behaviours = {
         "drop" if t.dropped else f"forward:{len(t.entries)}e"

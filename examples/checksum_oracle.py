@@ -11,7 +11,7 @@ checksum arithmetic by hand.
 Usage:  python examples/checksum_oracle.py
 """
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.externs.checksum import ones_complement16
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
@@ -36,7 +36,8 @@ def describe(test) -> str:
 
 def main() -> int:
     program = load_program("fig1b")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
 
     print("=== concolic checksum tests (fig1b) ===")
     for test in result.tests:

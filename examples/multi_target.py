@@ -9,7 +9,7 @@ supports — the paper's extension matrix, exercised end-to-end.
 Usage:  python examples/multi_target.py
 """
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import EbpfModel, T2na, Tna, V1Model
 from repro.testback import get_backend
 from repro.testback.runner import run_suite
@@ -30,7 +30,8 @@ def main() -> int:
     for target_cls, program_name, backends in MATRIX:
         target = target_cls()
         program = load_program(program_name)
-        result = TestGen(program, target=target, seed=1).run(max_tests=10)
+        result = TestGen(program, target=target,
+                         config=TestGenConfig(seed=1)).run(max_tests=10)
         passed, _ = run_suite(result.tests, program)
         failures += len(result.tests) - passed
         rendered = []

@@ -11,7 +11,7 @@ Usage:  python examples/quickstart.py [program-name]
 
 import sys
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
 
@@ -21,7 +21,7 @@ def main() -> int:
     program = load_program(program_name)
 
     print(f"=== generating tests for {program_name} (v1model) ===")
-    oracle = TestGen(program, target=V1Model(), seed=1)
+    oracle = TestGen(program, target=V1Model(), config=TestGenConfig(seed=1))
     result = oracle.run(max_tests=10)
 
     for test in result.tests:

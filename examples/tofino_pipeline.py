@@ -16,7 +16,7 @@ reuse the paper describes.
 Usage:  python examples/tofino_pipeline.py
 """
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import T2na, Tna
 from repro.testback.runner import run_suite
 
@@ -26,7 +26,8 @@ def main() -> int:
     failures = 0
     for target in (Tna(), T2na()):
         print(f"=== {target.name} ===")
-        result = TestGen(program, target=target, seed=1).run()
+        result = TestGen(program, target=target,
+                         config=TestGenConfig(seed=1)).run()
         for test in result.tests:
             size_note = f"{test.input_packet.width // 8}B"
             print(f"  test {test.test_id}: input {size_note:>5} -> "
@@ -45,7 +46,8 @@ def main() -> int:
         failures += len(result.tests) - passed
 
     print("=== PTF rendering (first tna test) ===")
-    result = TestGen(program, target=Tna(), seed=1).run(max_tests=1)
+    result = TestGen(program, target=Tna(),
+                     config=TestGenConfig(seed=1)).run(max_tests=1)
     print(result.emit("ptf"))
     return 0 if failures == 0 else 1
 

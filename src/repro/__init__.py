@@ -27,8 +27,8 @@ Batch many programs through the parallel engine::
 
 Custom test back ends plug into the open registry::
 
-    from repro.testback import register_backend
-    register_backend("mybackend", MyBackend)
+    from repro.testback import BACKENDS
+    BACKENDS.register("mybackend", MyBackend)
 """
 
 from .config import TestGenConfig

@@ -48,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes; output is byte-identical "
                           "to --jobs 1 for any N")
-    gen.add_argument("--no-solve-cache", action="store_true",
-                     help="disable solver-query caching (ablation; "
-                          "incompatible with --jobs > 1)")
     gen.add_argument("--no-elide", action="store_true",
                      help="disable the solver query-elision pipeline "
                           "(ablation; answers and tests are identical "
@@ -64,18 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "instead of riding the incremental clause "
                           "database (escape hatch/ablation; emitted "
                           "suites are byte-identical either way)")
-    gen.add_argument("--solver", default="native", metavar="NAME",
-                     help="primary solver backend (default: native; see "
-                          "repro.smt.backends.register_solver)")
-    gen.add_argument("--portfolio", default="", metavar="NAMES",
-                     help="comma-separated external backends raced "
-                          "against the native search on hard queries; "
-                          "emitted suites are byte-identical with or "
-                          "without a portfolio")
-    gen.add_argument("--solver-crosscheck", action="store_true",
-                     help="differentially validate a sample of SAT "
-                          "answers (model verification plus re-solving "
-                          "on a second backend when one is configured)")
     gen.add_argument("--intern-stats", action="store_true",
                      help="print intern-pool / blast-cache / COW-state "
                           "counters to stderr after the run")
@@ -201,15 +186,9 @@ def cmd_generate(args) -> int:
         stop_at_full_coverage=args.stop_at_full_coverage,
         coverage_goal=args.coverage_goal,
         jobs=args.jobs,
-        solve_cache=not args.no_solve_cache,
         elide=not args.no_elide,
         intern=not args.no_intern,
         incremental=not args.no_incremental,
-        solver=args.solver,
-        portfolio=tuple(
-            name.strip() for name in args.portfolio.split(",")
-            if name.strip()),
-        solver_crosscheck=args.solver_crosscheck,
     )
     oracle = TestGen(program, target=target, config=config)
     backend = get_backend(args.test_backend)

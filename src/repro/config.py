@@ -15,18 +15,13 @@ one config, pass it anywhere.
     gen = TestGen(load_program("fig1a"), target=V1Model(), config=cfg)
     for test in gen.iter_tests():
         ...
-
-The legacy keyword arguments keep working through
-:func:`config_from_legacy`, which folds them into a config and emits a
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace as _dc_replace
 
-__all__ = ["TestGenConfig", "config_from_legacy"]
+__all__ = ["TestGenConfig"]
 
 
 @dataclass(frozen=True)
@@ -51,21 +46,17 @@ class TestGenConfig:
         jobs: worker processes; 1 means fully in-process.
         max_steps: safety cap on symbolic-execution steps.  With
             ``jobs > 1`` this is enforced per process, not globally.
-        concolic_enabled / concolic_max_rounds / concolic_fallback:
-            concolic-resolution knobs (§5.4).
-        solve_cache: memoize canonicalized solver queries.  Required
-            for ``jobs > 1`` (it is what makes models reproducible
-            across processes).
+        concolic_enabled: resolve concolic placeholders (§5.4); off is
+            the concolic ablation, where extern results stay
+            unconstrained.
         cache_capacity: max cached solver entries (None = unbounded,
-            0 = canonical solving without memoization).
+            0 = canonical solving without memoization).  Every model
+            comes from a canonical solve either way, which is what
+            makes models reproducible across processes.
         elide: enable the query-elision pipeline (word-level rewrite,
             model reuse, UNSAT subsumption — see ``smt/elide.py``) in
             front of the SAT core.  Elision never changes any answer or
             emitted test, only how many checks reach bit-blasting.
-        elide_models: satisfying assignments kept for model reuse (per
-            solver).
-        elide_unsat: proven-UNSAT conjunct sets kept for subsumption
-            (per solver).
         intern: hash-cons terms in a process-wide weak pool (see
             ``smt/terms.py``).  Enables the O(1) identity fast paths,
             tid-keyed memo tables and the shared bit-blast cache.
@@ -78,23 +69,7 @@ class TestGenConfig:
             survive across sibling checks (§6 "incremental solving").
             Only statuses ride the incremental database; models always
             come from canonical solves, so incremental on/off suites
-            are byte-identical at any ``jobs``.  Requires
-            ``solve_cache``; ignored when a portfolio is configured.
-        solver: primary solver back-end name (``"native"`` default; any
-            name accepted by :func:`repro.smt.backends.register_solver`).
-            Non-native primaries bind their own models, so suites are
-            deterministic per back end but differ across back ends.
-        portfolio: external back-end names raced against the native
-            search on hard queries (see ``smt/backends.py``).  Racing
-            never changes emitted tests — verdicts are objective and
-            models always come from the primary — so portfolio on/off
-            suites are byte-identical.  Requires ``solve_cache``.
-        portfolio_budget: native conflicts before a query counts as
-            hard and the portfolio race starts.
-        solver_crosscheck: differentially validate a deterministic
-            sample of SAT answers — verify each emitted model against
-            its constraint set and re-solve on a second back end
-            (the first portfolio member, when present).
+            are byte-identical at any ``jobs``.
         batch_replay: replay generated suites through the lane-packed
             batch interpreter (``repro.interp.batch``) instead of one
             scalar simulator per test.  Classifications are identical
@@ -114,19 +89,10 @@ class TestGenConfig:
     jobs: int = 1
     max_steps: int = 2_000_000
     concolic_enabled: bool = True
-    concolic_max_rounds: int = 4
-    concolic_fallback: bool = True
-    solve_cache: bool = True
     cache_capacity: int | None = None
     elide: bool = True
-    elide_models: int = 8
-    elide_unsat: int = 64
     intern: bool = True
     incremental: bool = True
-    solver: str = "native"
-    portfolio: tuple[str, ...] = ()
-    portfolio_budget: int = 256
-    solver_crosscheck: bool = False
     batch_replay: bool = True
 
     def replace(self, **overrides) -> "TestGenConfig":
@@ -138,35 +104,4 @@ class TestGenConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TestGenConfig":
-        values = dict(values)
-        # JSON round-trips (and permissive callers) hand lists; the
-        # frozen dataclass wants a hashable tuple.
-        if values.get("portfolio") is not None:
-            values["portfolio"] = tuple(values["portfolio"])
         return cls(**values)
-
-
-_FIELD_NAMES = frozenset(f.name for f in fields(TestGenConfig))
-
-
-def config_from_legacy(config: TestGenConfig | None, legacy: dict,
-                       where: str) -> TestGenConfig:
-    """Fold deprecated keyword arguments into a :class:`TestGenConfig`.
-
-    ``legacy`` maps old keyword names to values; every key must be a
-    config field.  Emits one :class:`DeprecationWarning` naming the
-    offending keywords (callers two frames up, past the shim).
-    """
-    unknown = sorted(set(legacy) - _FIELD_NAMES)
-    if unknown:
-        raise TypeError(f"{where} got unexpected keyword arguments {unknown}")
-    base = config if config is not None else TestGenConfig()
-    if not legacy:
-        return base
-    warnings.warn(
-        f"passing {', '.join(sorted(legacy))} to {where} is deprecated; "
-        "pass config=TestGenConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return base.replace(**legacy)

@@ -51,19 +51,13 @@ def _validate_parallel(config: TestGenConfig) -> None:
 
     Only :class:`ProgramRun` enforces this: cross-program batches run
     each whole program sequentially inside its worker (``jobs=1``
-    there), so any strategy — and uncached solving — stays deterministic
-    on that path.
+    there), so any strategy stays deterministic on that path.
     """
     if config.jobs > 1 and config.strategy != "dfs":
         raise ValueError(
             f"strategy {config.strategy!r} draws from a shared RNG and cannot "
             "be sharded across processes; use strategy='dfs' with jobs>1 "
             "(cross-program batches may still use any strategy)"
-        )
-    if config.jobs > 1 and not config.solve_cache:
-        raise ValueError(
-            "jobs>1 requires solve_cache=True: canonical cached solving is "
-            "what makes models identical across processes"
         )
 
 

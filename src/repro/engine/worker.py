@@ -44,11 +44,8 @@ def run_shard(payload: dict) -> dict:
     target = pickle.loads(payload["target_blob"])
     config = TestGenConfig.from_dict(payload["config"])
     explorer = Explorer(program, target, config=config)
-    try:
-        for _ in explorer.run_prefix(tuple(payload["prefix"])):
-            pass
-    finally:
-        explorer.close()
+    for _ in explorer.run_prefix(tuple(payload["prefix"])):
+        pass
     blocks = [
         (len(rec.events), [ev.test for ev in rec.events if ev.test is not None])
         for rec in explorer.event_log
@@ -77,10 +74,7 @@ def run_program(payload: dict) -> dict:
         target = pickle.loads(payload["target_blob"])
         config = TestGenConfig.from_dict(payload["config"])
         explorer = Explorer(program, target, config=config)
-        try:
-            tests = list(explorer.run())
-        finally:
-            explorer.close()
+        tests = list(explorer.run())
     except Exception as exc:
         if not payload.get("capture_errors"):
             raise

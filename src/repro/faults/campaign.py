@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import TestGen, load_program
+from .. import TestGen, TestGenConfig, load_program
 from ..testback.runner import make_simulator, run_test
 from .mutations import MUTATION_CATALOG, Mutation
 
@@ -72,7 +72,8 @@ def run_campaign(cases, seed: int = 1, max_tests: int = 25,
     for program_name, target_factory in cases:
         target = target_factory()
         clean_program = load_program(program_name)
-        oracle = TestGen(clean_program, target=target, seed=seed)
+        oracle = TestGen(clean_program, target=target,
+                         config=TestGenConfig(seed=seed))
         tests = oracle.run(max_tests=max_tests).tests
         for mutation in mutations:
             # Fresh IR and simulator per fault so faults never compound.

@@ -12,16 +12,13 @@
     result = gen.run()                # or collect everything at once
     print(result.coverage_report())
     print(result.emit("stf"))
-
-The pre-config keyword style (``TestGen(prog, target, seed=1)``) keeps
-working but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..config import TestGenConfig, config_from_legacy
+from ..config import TestGenConfig
 from ..ir import load_ir
 from ..ir.nodes import IrProgram
 from ..symex.explorer import Explorer
@@ -81,9 +78,7 @@ class TestGen:
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, program: IrProgram | str, target: TargetExtension,
-                 *, config: TestGenConfig | None = None, **legacy):
-        if legacy:
-            config = config_from_legacy(config, legacy, "TestGen()")
+                 *, config: TestGenConfig | None = None):
         if config is None:
             config = TestGenConfig()
         if isinstance(program, str):
@@ -93,33 +88,13 @@ class TestGen:
         self.config = config
         self._last_run = None
 
-    # Pre-config attribute access keeps working (read-only views).
-    @property
-    def seed(self):
-        return self.config.seed
-
-    @property
-    def strategy(self):
-        return self.config.strategy
-
-    @property
-    def prune_unsat(self):
-        return self.config.prune_unsat
-
-    @property
-    def randomize_values(self):
-        return self.config.randomize_values
-
-    def explorer(self, config: TestGenConfig | None = None,
-                 **legacy) -> Explorer:
+    def explorer(self, config: TestGenConfig | None = None) -> Explorer:
         """A sequential :class:`Explorer` over this oracle's program.
 
         Uses this oracle's config unless an override ``config`` is
-        given; deprecated keyword overrides are folded on top."""
-        base = config if config is not None else self.config
-        if legacy:
-            base = config_from_legacy(base, legacy, "TestGen.explorer()")
-        return Explorer(self.program, self.target, config=base)
+        given."""
+        return Explorer(self.program, self.target,
+                        config=config if config is not None else self.config)
 
     def iter_tests(self, config: TestGenConfig | None = None):
         """Stream tests as paths finalize (the engine handles

@@ -1,13 +1,11 @@
 """Shared plugin-registry helper.
 
-The project grew three independent name → factory registries — test
-back ends (:mod:`repro.testback`), simulators
-(:mod:`repro.testback.runner`) and solver back ends
-(:mod:`repro.smt.backends`) — each with its own duplicated lookup and
-error-message code.  :class:`Registry` is the one implementation they
-all share now: a mapping from names to factories with uniform
-registration validation, duplicate-name protection, and unknown-name
-errors that carry did-you-mean suggestions.
+The project has two name → factory registries — test back ends
+(:mod:`repro.testback`) and simulators (:mod:`repro.testback.runner`).
+:class:`Registry` is the one implementation they share: a mapping from
+names to factories with uniform registration validation, duplicate-name
+protection, and unknown-name errors that carry did-you-mean
+suggestions.
 
 A :class:`Registry` behaves like a mutable mapping, so existing code
 (and tests) that treated the registries as plain dicts —
@@ -16,9 +14,9 @@ keeps working unchanged.
 
 ::
 
-    SOLVERS = Registry("solver backend")
-    SOLVERS.register("native", NativeBackend)
-    SOLVERS.get("natiev")   # UnknownNameError: ... did you mean 'native'?
+    BACKENDS = Registry("test backend")
+    BACKENDS.register("stf", StfBackend)
+    BACKENDS.get("sft")   # UnknownNameError: ... did you mean 'stf'?
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ class Registry(MutableMapping):
 
     Args:
         kind: human-readable description of what is registered
-            ("test back end", "simulator", "solver backend") — used in
-            every error message.
+            ("test backend", "simulator") — used in every error
+            message.
         validator: optional ``validator(name, factory)`` hook run before
             insertion; raise ``TypeError``/``ValueError`` to reject.
     """

@@ -12,17 +12,10 @@ Public surface:
   used by the concolic loop and for cross-checking;
 - :class:`repro.smt.elide.QueryElider` /
   :func:`repro.smt.preprocess.preprocess_conjuncts` — the query-elision
-  pipeline that answers checks before they reach bit-blasting;
-- :mod:`repro.smt.backends` — pluggable solver back ends
-  (:func:`register_solver`), the :class:`PortfolioSolver` racer and the
-  :class:`CrossChecker` differential validator.
+  pipeline that answers checks before they reach bit-blasting.
 """
 
 from . import terms
-from .backends import (CrossChecker, CrossCheckError, PortfolioSolver,
-                       SolverBackend, available_solver_names,
-                       build_portfolio, make_solver, register_solver,
-                       solver_names)
 from .bitblast import (SharedBlastCache, clear_shared_blast_cache,
                        shared_blast_cache)
 from .cache import SolveCache
@@ -40,7 +33,4 @@ __all__ = [
     "SharedBlastCache", "shared_blast_cache", "clear_shared_blast_cache",
     "set_interning", "interning_enabled", "intern_stats",
     "reset_intern_stats", "clear_intern_pool",
-    "SolverBackend", "PortfolioSolver", "CrossChecker", "CrossCheckError",
-    "register_solver", "make_solver", "solver_names",
-    "available_solver_names", "build_portfolio",
 ]

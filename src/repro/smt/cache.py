@@ -165,24 +165,16 @@ class CacheKey:
 
 class CacheEntry:
     """One memoized solve: status, eager model values by canonical
-    variable index, the time the original solve cost (credited as
-    savings on every hit), and which solver back end answered.
+    variable index, and the time the original solve cost (credited as
+    savings on every hit)."""
 
-    ``backend`` matters only for SAT entries: different back ends bind
-    different (all correct) models, so a model must never be served to
-    a run whose primary back end would have bound another one.  UNSAT
-    has no model to disagree about, so UNSAT entries are shared across
-    back ends (see :meth:`SolveCache.store`).
-    """
-
-    __slots__ = ("status", "values", "solve_time", "backend")
+    __slots__ = ("status", "values", "solve_time")
 
     def __init__(self, status: str, values: tuple | None,
-                 solve_time: float, backend: str = "native"):
+                 solve_time: float):
         self.status = status
         self.values = values
         self.solve_time = solve_time
-        self.backend = backend
 
     def model_values(self, key: CacheKey) -> dict[Term, int | bool]:
         """Rebind the stored model to ``key``'s own variable terms."""
@@ -199,24 +191,9 @@ class SolveCache:
     parallel runs that cannot afford the memory.
     """
 
-    def __init__(self, capacity: int | None = None, portfolio=None,
-                 crosscheck=None):
+    def __init__(self, capacity: int | None = None):
         self.capacity = capacity
-        # Entries are keyed ``(CacheKey, backend_tag)``: SAT entries
-        # under the answering back end's name (models are
-        # backend-dependent), UNSAT entries under the shared "" tag
-        # (verdicts are not) — so switching ``--solver`` can never
-        # replay another back end's model, while UNSAT work is reused
-        # across back ends.
-        self._entries: OrderedDict[tuple[CacheKey, str], CacheEntry] = (
-            OrderedDict())
-        # Portfolio / crosscheck (smt/backends.py): the portfolio is
-        # handed to every miss solve's sub-solver; the crosschecker
-        # samples SAT answers for differential validation.
-        self.portfolio = portfolio
-        self.crosscheck = crosscheck
-        self.backend_name = (portfolio.primary_name
-                             if portfolio is not None else "native")
+        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -227,12 +204,6 @@ class SolveCache:
         self.blast_misses = 0
         self.blast_clauses_replayed = 0
         self.blast_time_saved = 0.0
-        # Per-backend counters accumulated from miss-solve sub-solvers.
-        self.backend_queries: dict[str, int] = {}
-        self.backend_wins: dict[str, int] = {}
-        self.backend_timeouts: dict[str, int] = {}
-        self.backend_errors: dict[str, int] = {}
-        self.portfolio_races = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -268,23 +239,14 @@ class SolveCache:
         status for free.  Peeks stay invisible to the cache's own
         counters so hit-rate reports keep describing canonical checks.
         """
-        entry = self._entries.get((key, self.backend_name))
-        if entry is None:
-            entry = self._entries.get((key, ""))
-        return entry
+        return self._entries.get(key)
 
     def lookup(self, key: CacheKey) -> CacheEntry | None:
-        # SAT entries must come from this run's primary back end;
-        # UNSAT entries (tag "") are backend-free.
-        slot = (key, self.backend_name)
-        entry = self._entries.get(slot)
-        if entry is None:
-            slot = (key, "")
-            entry = self._entries.get(slot)
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(slot)
+        self._entries.move_to_end(key)
         self.hits += 1
         self.time_saved += entry.solve_time
         return entry
@@ -292,9 +254,8 @@ class SolveCache:
     def store(self, key: CacheKey, entry: CacheEntry) -> None:
         if self.capacity == 0:
             return
-        slot = (key, "" if entry.status == "unsat" else entry.backend)
-        self._entries[slot] = entry
-        self._entries.move_to_end(slot)
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -323,17 +284,12 @@ class SolveCache:
         replayed CNF is bit-identical to cold blasting (see
         smt/bitblast.py), so warm and cold solves return the same
         entry — only faster.
-
-        With a portfolio attached, hard solves race external back
-        ends; the model still comes from the primary back end, so the
-        entry stays a pure function of (key, primary backend).
         """
         from .bitblast import shared_blast_cache
         from .solver import Solver
 
         share = shared_blast_cache() if interning_enabled() else None
-        sub = Solver(blast_share=share, portfolio=self.portfolio,
-                     portfolio_need_model=True)
+        sub = Solver(blast_share=share)
         for t in key:
             sub.add(t)
         status = sub.check()
@@ -341,12 +297,6 @@ class SolveCache:
         self.blast_misses += sub.stats.blast_cache_misses
         self.blast_clauses_replayed += sub.stats.blast_clauses_replayed
         self.blast_time_saved += sub.stats.blast_time_saved_s
-        self.portfolio_races += sub.stats.portfolio_races
-        for field in ("backend_queries", "backend_wins",
-                      "backend_timeouts", "backend_errors"):
-            mine = getattr(self, field)
-            for name, count in getattr(sub.stats, field).items():
-                mine[name] = mine.get(name, 0) + count
         values = None
         if status == "sat":
             variables: set[Term] = set()
@@ -354,15 +304,7 @@ class SolveCache:
                 variables |= free_vars(t)
             model = sub.model(variables)
             values = tuple(model[v] for v in key.var_order)
-            if self.crosscheck is not None:
-                from .backends import request_from_sat
-
-                request = request_from_sat(sub._sat, terms=tuple(key))
-                self.crosscheck.maybe_check(
-                    key.terms, model.as_dict(), request,
-                    context=f"{len(key)} conjuncts")
-        return CacheEntry(status, values, sub.stats.total_time,
-                          backend=sub.last_backend)
+        return CacheEntry(status, values, sub.stats.total_time)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import heapq
 
-__all__ = ["SatSolver", "SAT", "UNSAT", "UNKNOWN"]
+__all__ = ["SatSolver", "SAT", "UNSAT"]
 
 SAT = "sat"
 UNSAT = "unsat"
-UNKNOWN = "unknown"
 
 
 def _luby(i: int) -> int:
@@ -532,17 +531,8 @@ class SatSolver:
         return keep
 
     def solve(self, assumptions: list[int] | None = None,
-              conflict_budget: int | None = None,
               reuse_trail: bool = False) -> str:
         """Solve under the given assumptions; returns ``SAT`` or ``UNSAT``.
-
-        With ``conflict_budget`` the search stops after that many
-        conflicts and returns ``UNKNOWN``, leaving the solver at
-        decision level 0 with everything it learned retained — calling
-        ``solve`` again (with or without a budget) resumes where the
-        previous slice left off.  This is how the portfolio layer
-        classifies hard queries and interleaves native search with
-        external back-end polling (see :mod:`repro.smt.backends`).
 
         With ``reuse_trail`` the call keeps the longest prefix of
         decision levels whose decisions are assumptions of *this* call
@@ -590,7 +580,6 @@ class SatSolver:
         restart_count = 1
         conflicts_until_restart = 32 * _luby(restart_count)
         conflicts_this_restart = 0
-        conflicts_this_call = 0
 
         while True:
             if conflict is None:
@@ -598,7 +587,6 @@ class SatSolver:
             if conflict is not None:
                 self.stats["conflicts"] += 1
                 conflicts_this_restart += 1
-                conflicts_this_call += 1
                 if not self.trail_lim:
                     return UNSAT
                 # If the conflict is below the assumption levels we
@@ -621,13 +609,6 @@ class SatSolver:
                     self._enqueue(learned[0], idx)
                 self.var_inc /= self.var_decay
                 self.cla_inc /= self.cla_decay
-                if (conflict_budget is not None
-                        and conflicts_this_call >= conflict_budget):
-                    # Progress survives the pause through the clause
-                    # database (learned clauses and level-0 units stay);
-                    # park the search at level 0 and hand control back.
-                    self._backjump(0)
-                    return UNKNOWN
                 continue
 
             if conflicts_this_restart >= conflicts_until_restart:

@@ -22,7 +22,6 @@ what makes parallel exploration reproduce sequential output exactly.
 from __future__ import annotations
 
 import time
-import warnings
 
 from .bitblast import BitBlaster
 from .cnf import CnfBuilder
@@ -62,14 +61,6 @@ class SolverStats:
         self.blast_cache_misses = 0
         self.blast_clauses_replayed = 0
         self.blast_time_saved_s = 0.0
-        # Solver portfolio (see smt/backends.py): per-backend counters,
-        # keyed by backend name, recorded only for portfolio-dispatched
-        # queries; plus how many queries escalated into a race.
-        self.backend_queries: dict[str, int] = {}
-        self.backend_wins: dict[str, int] = {}
-        self.backend_timeouts: dict[str, int] = {}
-        self.backend_errors: dict[str, int] = {}
-        self.portfolio_races = 0
         # Incremental status plane (incremental=True facades): stack
         # traffic, trail reuse, and clause-database hygiene, mirrored
         # from the underlying SatSolver after each check.
@@ -127,11 +118,6 @@ class SolverStats:
             "inc_db_reductions": self.inc_db_reductions,
             "inc_heap_rebuilds": self.inc_heap_rebuilds,
             "inc_selectors_retired": self.inc_selectors_retired,
-            "backend_queries": dict(self.backend_queries),
-            "backend_wins": dict(self.backend_wins),
-            "backend_timeouts": dict(self.backend_timeouts),
-            "backend_errors": dict(self.backend_errors),
-            "portfolio_races": self.portfolio_races,
         }
 
 
@@ -143,25 +129,18 @@ class SolveResult(str):
     ``res != "sat"``, dict keys, formatting — keeps working unchanged;
     the structured fields ride along:
 
-    - ``status``: the plain status string (shim property).
+    - ``status``: the plain status string.
     - ``model``: the :class:`Model` for ``check_and_model`` SAT
       answers; None from plain ``check`` (extract via ``Solver.model``).
-    - ``backend``: which solver back end answered ("native", an
-      external back-end name, "cache", or "elide").
     - ``stats``: the owning solver's :class:`SolverStats` at answer
       time.
-
-    Tuple unpacking (``status, model = solver.check_and_model(...)``)
-    is kept as a deprecated shim for one release.
     """
 
-    __slots__ = ("model", "backend", "stats")
+    __slots__ = ("model", "stats")
 
-    def __new__(cls, status: str, model=None, backend: str = "native",
-                stats=None):
+    def __new__(cls, status: str, model=None, stats=None):
         self = super().__new__(cls, status)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "stats", stats)
         return self
 
@@ -172,21 +151,12 @@ class SolveResult(str):
     def __setattr__(self, name, value):
         raise AttributeError("SolveResult is immutable")
 
-    def __iter__(self):
-        warnings.warn(
-            "unpacking a SolveResult as (status, model) is deprecated; "
-            "use result.status and result.model instead",
-            DeprecationWarning, stacklevel=2)
-        yield str(self)
-        yield self.model
-
     def __repr__(self) -> str:
-        return (f"SolveResult({str(self)!r}, backend={self.backend!r}, "
-                f"model={self.model!r})")
+        return f"SolveResult({str(self)!r}, model={self.model!r})"
 
     def __reduce__(self):
         # Stats hold live solver references; they don't cross pickles.
-        return (SolveResult, (str(self), self.model, self.backend, None))
+        return (SolveResult, (str(self), self.model, None))
 
 
 class Model:
@@ -219,10 +189,7 @@ class Solver:
     """Incremental QF_BV solver with push/pop and model extraction."""
 
     def __init__(self, cache=None, elide: bool = False,
-                 elide_models: int = 8, elide_unsat: int = 64,
-                 blast_share=None, portfolio=None,
-                 portfolio_need_model: bool = False,
-                 incremental: bool = False):
+                 blast_share=None, incremental: bool = False):
         self._sat = SatSolver()
         self._builder = CnfBuilder(self._sat)
         self._blaster = BitBlaster(self._builder)
@@ -237,17 +204,6 @@ class Solver:
         self.incremental = bool(incremental) and cache is None
         if self.incremental:
             self._sat.keep_trail_on_add = True
-        # Solver portfolio (smt/backends.py): when set and active, the
-        # final CDCL solve of each check is dispatched through it so
-        # hard queries race external back ends.  ``portfolio_need_model``
-        # marks solvers whose SAT answers must carry the primary
-        # back end's model (the canonical sub-solver) — external SAT
-        # wins then only decide the verdict, never the model.
-        self._portfolio = portfolio
-        self._portfolio_need_model = portfolio_need_model
-        self._external_assignment: dict[int, bool] | None = None
-        self._status_only_sat = False
-        self._last_backend = "native"
         # Shared blast cache (smt/bitblast.py): sound only while this
         # solver's op stream is a pure function of the base assertion
         # sequence, so the cursor detaches on push() or extras blasting.
@@ -271,9 +227,7 @@ class Solver:
         # it gets the full pipeline.
         self.elider = None
         if elide:
-            self.elider = QueryElider(self.stats, max_models=elide_models,
-                                      max_unsat=elide_unsat,
-                                      sat_ok=cache is None)
+            self.elider = QueryElider(self.stats, sat_ok=cache is None)
         self._elided_model: dict | None = None
 
     # ------------------------------------------------------------------
@@ -377,8 +331,6 @@ class Solver:
         # whole assertion sequence still goes through the share.
         self._share_node = None
         self._elided_model = None
-        self._external_assignment = None
-        self._status_only_sat = False
         conjuncts = None
         if self.elider is not None:
             conjuncts = self.assertions() + list(extra)
@@ -386,13 +338,12 @@ class Solver:
             if status is not None:
                 self._last_assumptions = list(extra)
                 self.stats.checks += 1
-                self._last_backend = "elide"
                 if status == "sat":
                     self.stats.sat_answers += 1
                     self._elided_model = witness
                 else:
                     self.stats.unsat_answers += 1
-                return SolveResult(status, backend="elide", stats=self.stats)
+                return SolveResult(status, stats=self.stats)
         assumptions = [sel for sel, _terms in self._levels]
         t0 = time.perf_counter()
         for term in extra:
@@ -402,19 +353,7 @@ class Solver:
         self._last_assumptions = list(extra)
 
         t0 = time.perf_counter()
-        if self._portfolio is not None and self._portfolio.active:
-            res, ext_assignment, backend = self._portfolio.solve_with(
-                self._sat, assumptions,
-                need_model=self._portfolio_need_model,
-                terms=self.assertions() + list(extra),
-                stats=self.stats)
-            self._external_assignment = ext_assignment
-            self._status_only_sat = (res == SAT and backend != "native"
-                                     and ext_assignment is None)
-            self._last_backend = backend
-        else:
-            res = self._sat.solve(assumptions, reuse_trail=self.incremental)
-            self._last_backend = "native"
+        res = self._sat.solve(assumptions, reuse_trail=self.incremental)
         self.stats.solve_time += time.perf_counter() - t0
         if self.incremental:
             self._sync_incremental_stats()
@@ -427,12 +366,10 @@ class Solver:
         if self.elider is not None:
             # Feed the real answer back so future sibling queries elide.
             if res == SAT:
-                if not self._status_only_sat:
-                    self.elider.note_model(self.model().as_dict())
+                self.elider.note_model(self.model().as_dict())
             else:
                 self.elider.note_unsat(conjuncts)
-        return SolveResult("sat" if res == SAT else "unsat",
-                           backend=self._last_backend, stats=self.stats)
+        return SolveResult("sat" if res == SAT else "unsat", stats=self.stats)
 
     def try_elide_path(self, conjuncts: list[Term]) -> "SolveResult | None":
         """Elision-only attempt at a conjunct-list check (no blasting).
@@ -450,16 +387,13 @@ class Solver:
         if status is None:
             return None
         self._elided_model = witness if status == "sat" else None
-        self._external_assignment = None
-        self._status_only_sat = False
         self._last_assumptions = []
-        self._last_backend = "elide"
         self.stats.checks += 1
         if status == "sat":
             self.stats.sat_answers += 1
         else:
             self.stats.unsat_answers += 1
-        return SolveResult(status, backend="elide", stats=self.stats)
+        return SolveResult(status, stats=self.stats)
 
     def check_path(self, conjuncts: list[Term]) -> "SolveResult":
         """Incremental-plane check of an explicit conjunct list.
@@ -475,8 +409,6 @@ class Solver:
             raise RuntimeError("check_path requires an incremental solver")
         self._share_node = None
         self._elided_model = None
-        self._external_assignment = None
-        self._status_only_sat = False
         common = 0
         for (_sel, terms), want in zip(self._levels, conjuncts):
             if len(terms) == 1 and (terms[0] is want or terms[0] == want):
@@ -493,7 +425,6 @@ class Solver:
         t0 = time.perf_counter()
         res = self._sat.solve(assumptions, reuse_trail=True)
         self.stats.solve_time += time.perf_counter() - t0
-        self._last_backend = "native"
         self._sync_incremental_stats()
         self.stats.checks += 1
         self.stats.sat_solves += 1
@@ -506,8 +437,7 @@ class Solver:
                 self.elider.note_model(self.model().as_dict())
             else:
                 self.elider.note_unsat(conjuncts)
-        return SolveResult("sat" if res == SAT else "unsat",
-                           backend="native", stats=self.stats)
+        return SolveResult("sat" if res == SAT else "unsat", stats=self.stats)
 
     def _sync_incremental_stats(self) -> None:
         """Mirror the SatSolver's incremental counters (running totals)
@@ -553,7 +483,6 @@ class Solver:
                 cache.store(key, entry)
                 if self.elider is not None and entry.status == "unsat":
                     self.elider.note_unsat(key.terms)
-        self._last_backend = getattr(entry, "backend", "native")
         if entry.status == "sat":
             self.stats.sat_answers += 1
             # Rebind the index-keyed cached model to this query's own
@@ -562,8 +491,7 @@ class Solver:
         else:
             self.stats.unsat_answers += 1
             self._cached_model = None
-        return SolveResult(entry.status, backend=self._last_backend,
-                           stats=self.stats)
+        return SolveResult(entry.status, stats=self.stats)
 
     def model(self, variables=None) -> Model:
         """Extract a model after a "sat" answer.
@@ -587,17 +515,7 @@ class Solver:
             if variables is None:
                 return m
             return Model({v: m[v] for v in variables})
-        if self._status_only_sat:
-            raise RuntimeError(
-                f"the last check was answered status-only by backend "
-                f"{self._last_backend!r}; no model is available")
-        if self._external_assignment is not None:
-            # A raced external back end won with a clause-verified
-            # assignment: read values through the same blaster bit maps
-            # the native path uses.
-            assignment = self._external_assignment
-        else:
-            assignment = self._sat.model()
+        assignment = self._sat.model()
         if variables is None:
             variables = set()
             for term in self.assertions():
@@ -624,28 +542,20 @@ class Solver:
                 values[var] = v
         return Model(values)
 
-    @property
-    def last_backend(self) -> str:
-        """Name of the back end that answered the most recent check."""
-        return self._last_backend
-
     # Convenience ------------------------------------------------------
 
     def check_and_model(self, *extra: Term) -> "SolveResult":
         """One-shot check with the model attached to the result.
 
         Returns a :class:`SolveResult`; ``result.model`` is the
-        :class:`Model` on SAT and None otherwise.  Legacy
-        ``status, model = ...`` unpacking still works (deprecated).
+        :class:`Model` on SAT and None otherwise.
         """
         status = self.check(*extra)
         if status != "sat":
-            return SolveResult(str(status), model=None,
-                               backend=self._last_backend, stats=self.stats)
+            return SolveResult(str(status), model=None, stats=self.stats)
         # NOTE: when extra assumptions were used the SAT trail already
         # reflects them at the moment of model extraction.
-        return SolveResult(str(status), model=self.model(),
-                           backend=self._last_backend, stats=self.stats)
+        return SolveResult(str(status), model=self.model(), stats=self.stats)
 
 
 def quick_check(terms: list[Term]) -> tuple[str, Model | None]:

@@ -27,10 +27,8 @@ from __future__ import annotations
 import random
 import time
 
-from ..config import TestGenConfig, config_from_legacy
-from ..smt import SolveCache, Solver, evaluate, terms as T
-from ..smt.backends import CrossChecker, build_portfolio
-from ..smt.evaluate import EvaluationError
+from ..config import TestGenConfig
+from ..smt import SolveCache, Solver, all_hold, evaluate, terms as T
 from ..testback.spec import (
     AbstractTestCase,
     ExpectedPacket,
@@ -52,7 +50,8 @@ from .state import (
 from .stepper import step
 from .value import MintScope
 
-__all__ = ["Explorer", "ExplorationStats", "IterationRecord", "PathEvent"]
+__all__ = ["Explorer", "ExplorationStats", "IterationRecord",
+           "ModelCertificateError", "PathEvent"]
 
 
 class ExplorationStats:
@@ -120,15 +119,6 @@ class ExplorationStats:
         self.state_clones = 0
         self.path_cond_copies = 0
         self.frame_cow_copies = 0
-        # Solver back ends (smt/backends.py): per-backend counters from
-        # both solvers plus the canonical cache's miss solves.
-        self.backend_queries: dict[str, int] = {}
-        self.backend_wins: dict[str, int] = {}
-        self.backend_timeouts: dict[str, int] = {}
-        self.backend_errors: dict[str, int] = {}
-        self.portfolio_races = 0
-        self.crosschecks = 0
-        self.crosscheck_failures = 0
 
     def as_dict(self):
         return dict(self.__dict__)
@@ -138,11 +128,6 @@ class ExplorationStats:
         for key, value in other.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 setattr(self, key, getattr(self, key, 0) + value)
-            elif isinstance(value, dict):
-                mine = getattr(self, key, None)
-                if isinstance(mine, dict):
-                    for sub, count in value.items():
-                        mine[sub] = mine.get(sub, 0) + count
 
 
 class PathEvent:
@@ -177,11 +162,16 @@ def _model_eval(term, model):
     return evaluate(term, assignment)
 
 
+class ModelCertificateError(AssertionError):
+    """A model about to be emitted violates its own path condition.
+
+    Raised by the emission-time certificate: every path conjunct and
+    every pin must evaluate true under the final model at the word
+    level, independently of how the model was produced."""
+
+
 class Explorer:
-    def __init__(self, program, target, config: TestGenConfig | None = None,
-                 **legacy):
-        if legacy:
-            config = config_from_legacy(config, legacy, "Explorer()")
+    def __init__(self, program, target, config: TestGenConfig | None = None):
         if config is None:
             config = TestGenConfig()
         self.config = config
@@ -196,8 +186,6 @@ class Explorer:
         self.max_steps = config.max_steps
         self.stop_at_full_coverage = config.stop_at_full_coverage
         self.coverage_goal = config.coverage_goal
-        self.concolic_max_rounds = config.concolic_max_rounds
-        self.concolic_fallback = config.concolic_fallback
         self.concolic_enabled = config.concolic_enabled
         # §3: "the output port is chosen at random" — when enabled,
         # unconstrained control-plane values get random (seeded)
@@ -212,55 +200,16 @@ class Explorer:
         # report this run's activity, not the process's.
         self._intern_base = T.intern_stats()
         self._state_base = state_stats_snapshot()
-        # Solver back ends: a portfolio (or non-native primary) binds
-        # its models through the canonical cache's pure solves, so —
-        # like elision and jobs>1 — it is gated on solve_cache: the
-        # incremental solver's models are history-dependent and would
-        # break the portfolio-on/off byte-identity contract.
-        self.portfolio = build_portfolio(config)
-        if self.portfolio is not None and not config.solve_cache:
-            raise ValueError(
-                "solver/portfolio configuration requires solve_cache=True "
-                "(canonical solves are what keep portfolio runs "
-                "deterministic)")
-        self.crosschecker = None
-        if config.solver_crosscheck:
-            secondary = (self.portfolio.first_external()
-                         if self.portfolio is not None else None)
-            self.crosschecker = CrossChecker(secondary=secondary)
-        # Incremental solver: feasibility pruning only — unless
-        # solve_cache is off, in which case it doubles as the model
-        # solver and full elision would let cached witnesses reach test
-        # output; elision is therefore gated on solve_cache so the
-        # elide-on and elide-off suites stay identical.
-        #
-        # The incremental status plane (selector levels mirroring the
-        # DFS stack, trail/clause reuse across sibling checks) is gated
-        # the same way: it makes the pruning solver's *models* history-
-        # dependent, so it requires solve_cache (models then always come
-        # from canonical solves) and steps aside when a portfolio is
-        # configured (portfolio dispatch bypasses trail reuse, and the
-        # portfolio-on/off byte-identity contract is pinned to the
-        # one-shot plane).  Statuses are objective either way, so
-        # incremental on/off suites are byte-identical at any jobs.
-        self._incremental = (config.incremental and config.solve_cache
-                             and self.portfolio is None)
-        self.solver = Solver(elide=config.elide and config.solve_cache,
-                             elide_models=config.elide_models,
-                             elide_unsat=config.elide_unsat,
-                             portfolio=self.portfolio,
-                             incremental=self._incremental)
-        if config.solve_cache:
-            self.solve_cache = SolveCache(capacity=config.cache_capacity,
-                                          portfolio=self.portfolio,
-                                          crosscheck=self.crosschecker)
-            self.model_solver = Solver(cache=self.solve_cache,
-                                       elide=config.elide,
-                                       elide_models=config.elide_models,
-                                       elide_unsat=config.elide_unsat)
-        else:
-            self.solve_cache = None
-            self.model_solver = self.solver
+        # Two solvers (see module docstring).  The pruning solver only
+        # answers statuses, so it gets the full elision pipeline and the
+        # incremental status plane, whose models are history-dependent;
+        # every model comes from the canonical solver.  Statuses are
+        # objective, so elide and incremental on/off suites are
+        # byte-identical at any jobs.
+        self.solver = Solver(elide=config.elide,
+                             incremental=config.incremental)
+        self.solve_cache = SolveCache(capacity=config.cache_capacity)
+        self.model_solver = Solver(cache=self.solve_cache, elide=config.elide)
         self.scope = MintScope()
         self.coverage = CoverageTracker(program)
         self.stats = ExplorationStats()
@@ -457,27 +406,18 @@ class Explorer:
         st = self.stats
         ms = self.model_solver.stats
         ps = self.solver.stats
-        distinct = ps is not ms
-        st.solver_checks = ms.checks + (ps.checks if distinct else 0)
+        st.solver_checks = ms.checks + ps.checks
         st.cache_hits = ms.cache_hits
         st.cache_misses = ms.cache_misses
         st.cache_time_saved_s = ms.cache_time_saved
         for field in ("sat_solves", "elide_hits_model", "elide_hits_rewrite",
                       "elide_hits_subsume", "elide_misses", "rewrite_time_s",
                       "elide_model_evictions", "elide_unsat_evictions"):
-            value = getattr(ms, field)
-            if distinct:
-                value += getattr(ps, field)
-            setattr(st, field, value)
+            setattr(st, field, getattr(ms, field) + getattr(ps, field))
         # Headline metric: of the incremental feasibility-pruning
-        # checks, how many never reached a SAT solve?  Only meaningful
-        # when the pruning solver is its own instance.
-        if distinct:
-            st.feasibility_checks = ps.checks
-            st.feasibility_elided = ps.elide_hits
-        else:
-            st.feasibility_checks = 0
-            st.feasibility_elided = 0
+        # checks, how many never reached a SAT solve?
+        st.feasibility_checks = ps.checks
+        st.feasibility_elided = ps.elide_hits
         # Incremental-plane counters live on the pruning solver only
         # (the canonical solver never runs incrementally).
         for field in ("inc_solves", "inc_levels_pushed", "inc_levels_popped",
@@ -486,41 +426,19 @@ class Explorer:
                       "inc_clauses_gced", "inc_db_reductions",
                       "inc_heap_rebuilds", "inc_selectors_retired"):
             setattr(st, field, getattr(ps, field))
-        st.solve_time_s = ms.solve_time + (ps.solve_time if distinct else 0)
-        st.blast_time_s = ms.blast_time + (ps.blast_time if distinct else 0)
+        st.solve_time_s = ms.solve_time + ps.solve_time
+        st.blast_time_s = ms.blast_time + ps.blast_time
         istats = T.intern_stats()
         st.intern_hits = istats["hits"] - self._intern_base["hits"]
         st.intern_misses = istats["misses"] - self._intern_base["misses"]
         st.intern_pool_size = istats["pool_size"]
-        if self.solve_cache is not None:
-            st.blast_cache_hits = self.solve_cache.blast_hits
-            st.blast_cache_misses = self.solve_cache.blast_misses
-            st.blast_clauses_replayed = self.solve_cache.blast_clauses_replayed
-            st.blast_time_saved_s = self.solve_cache.blast_time_saved
+        st.blast_cache_hits = self.solve_cache.blast_hits
+        st.blast_cache_misses = self.solve_cache.blast_misses
+        st.blast_clauses_replayed = self.solve_cache.blast_clauses_replayed
+        st.blast_time_saved_s = self.solve_cache.blast_time_saved
         snap = state_stats_snapshot()
         for field in ("state_clones", "path_cond_copies", "frame_cow_copies"):
             setattr(st, field, snap[field] - self._state_base[field])
-        # Per-backend counters: the incremental solvers count their own
-        # dispatches; the canonical cache accumulates its miss solves'.
-        sources = [ms] + ([ps] if distinct else [])
-        if self.solve_cache is not None:
-            sources.append(self.solve_cache)
-        for field in ("backend_queries", "backend_wins",
-                      "backend_timeouts", "backend_errors"):
-            merged: dict[str, int] = {}
-            for src in sources:
-                for name, count in getattr(src, field).items():
-                    merged[name] = merged.get(name, 0) + count
-            setattr(st, field, merged)
-        st.portfolio_races = sum(src.portfolio_races for src in sources)
-        if self.crosschecker is not None:
-            st.crosschecks = self.crosschecker.checks
-            st.crosscheck_failures = self.crosschecker.failures
-
-    def close(self) -> None:
-        """Release external solver processes (no-op for pure native)."""
-        if self.portfolio is not None:
-            self.portfolio.close()
 
     def generate(self, n: int | None = None) -> list[AbstractTestCase]:
         """Convenience: collect up to ``n`` tests into a list."""
@@ -538,7 +456,7 @@ class Explorer:
     def _feasible(self, state: ExecutionState) -> bool:
         if not state.path_cond:
             return True
-        if self._incremental:
+        if self.solver.incremental:
             status = self._feasible_incremental(state)
         else:
             status = self.solver.check(*state.path_cond)
@@ -600,10 +518,7 @@ class Explorer:
             return self._build_test(state, assumptions, self.model_solver.model())
         try:
             extra, model = resolve_concolics(
-                state, self.model_solver, assumptions,
-                max_rounds=self.concolic_max_rounds,
-                allow_fallback=self.concolic_fallback,
-            )
+                state, self.model_solver, assumptions)
         except ConcolicFailure:
             self.stats.concolic_failures += 1
             self.stats.paths_infeasible += 1
@@ -665,6 +580,14 @@ class Explorer:
 
         # --- control plane --------------------------------------------
         entries, value_sets, registers = self._concretize_cp(state, model)
+
+        # --- certificate -----------------------------------------------
+        # Whatever produced the model, the emitted test is only sound if
+        # the model satisfies the path it claims to exercise.
+        if not all_hold(assumptions + pins, model.as_dict()):
+            raise ModelCertificateError(
+                f"{self.program.source_name}: model violates the path "
+                f"condition at choice path {state.choice_path}")
 
         self._test_counter += 1
         test = AbstractTestCase(

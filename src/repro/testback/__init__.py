@@ -2,8 +2,8 @@
 plus a runner that executes specs against the concrete interpreters.
 
 The registry is open: ``BACKENDS.register(name, cls)`` (a
-:class:`repro.registry.Registry`, shared machinery with simulators and
-solver back ends) adds a custom renderer class under a name, after
+:class:`repro.registry.Registry`, shared machinery with simulators)
+adds a custom renderer class under a name, after
 which ``get_backend(name)``, the CLI ``--test-backend`` flag, and
 ``TestGenResult.emit(name)`` all accept it.  A back end must provide
 ``name``, ``render_test(test)`` and ``render_suite(tests)``; back ends
@@ -11,8 +11,6 @@ that also declare the suite-shape attributes (``SUITE_SEPARATOR``,
 ``SUITE_SUFFIX``, optionally ``suite_prefix()``) can be streamed
 incrementally via :class:`SuiteWriter`.
 """
-
-import warnings
 
 from ..registry import Registry
 from .protobuf import ProtobufBackend
@@ -30,8 +28,7 @@ from .stf import StfBackend
 __all__ = [
     "AbstractTestCase", "PacketData", "ExpectedPacket", "TableEntrySpec",
     "ValueSetSpec", "RegisterSpec", "StfBackend", "PtfBackend",
-    "ProtobufBackend", "SuiteWriter", "get_backend", "register_backend",
-    "BACKENDS",
+    "ProtobufBackend", "SuiteWriter", "get_backend", "BACKENDS",
 ]
 
 
@@ -53,23 +50,6 @@ BACKENDS.register("protobuf", ProtobufBackend)
 def get_backend(name: str):
     """Instantiate the renderer registered under ``name``."""
     return BACKENDS.create(name)
-
-
-def register_backend(name: str, cls) -> None:
-    """Deprecated alias for ``BACKENDS.register(name, cls, replace=True)``.
-
-    ``cls`` is instantiated with no arguments by :func:`get_backend`
-    and must provide ``render_test(test) -> str`` and
-    ``render_suite(tests) -> str``.  Re-registering a name replaces the
-    previous back end (which is why the shim keeps replace semantics).
-    """
-    warnings.warn(
-        "register_backend() is deprecated; use "
-        "repro.testback.BACKENDS.register(name, cls) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    BACKENDS.register(name, cls, replace=True)
 
 
 class SuiteWriter:

@@ -9,7 +9,6 @@ fault-injection layer — a planted toolchain bug.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..interp.core import Config, InterpResult
@@ -18,7 +17,7 @@ from .spec import AbstractTestCase
 
 __all__ = [
     "TestRunResult", "run_test", "evaluate_test", "run_suite",
-    "make_simulator", "register_simulator", "is_stock_simulator",
+    "make_simulator", "is_stock_simulator",
     "SIMULATORS",
 ]
 
@@ -73,21 +72,6 @@ def is_stock_simulator(target_name: str) -> bool:
     """Whether ``target_name`` resolves to the built-in simulator."""
     return SIMULATORS.get(target_name, None) \
         is _STOCK_FACTORIES.get(target_name)
-
-
-def register_simulator(target_name: str, factory) -> None:
-    """Deprecated alias for ``SIMULATORS.register(..., replace=True)``.
-
-    ``factory`` is called as ``factory(program, seed)``; mirrors the
-    (equally deprecated) :func:`repro.testback.register_backend` shim.
-    """
-    warnings.warn(
-        "register_simulator() is deprecated; use "
-        "repro.testback.runner.SIMULATORS.register(name, factory) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    SIMULATORS.register(target_name, factory, replace=True)
 
 
 def make_simulator(target_name: str, program, seed: int = 0):

@@ -99,13 +99,13 @@ def test_syntax_error_rejected():
 def test_oracle_honours_entry_restriction():
     """End-to-end: with P4-constraints enabled, no generated entry may
     violate the middleblock ACL restriction."""
-    from repro import TestGen, load_program
+    from repro import TestGen, TestGenConfig, load_program
     from repro.targets import Preconditions, V1Model
 
     result = TestGen(
         load_program("middleblock"),
         target=V1Model(preconditions=Preconditions(p4constraints=True)),
-        seed=3,
+        config=TestGenConfig(seed=3),
     ).run(max_tests=60)
     for test in result.tests:
         for entry in test.entries:

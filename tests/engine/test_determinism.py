@@ -7,9 +7,6 @@ together guarantee it.  This file pins the guarantee across the jobs
 axis so later cache or sharding changes cannot silently weaken it.
 """
 
-import os
-import sys
-
 import pytest
 
 from repro import TestGenConfig, generate_suite
@@ -17,13 +14,6 @@ from repro.testback import get_backend
 
 PAIRS = [("fig1a", "v1model"), ("match_kinds", "v1model")]
 JOBS = (1, 2, 4)
-
-# The fake external solver rides in through the generic "dimacs"
-# back end via REPRO_SOLVER_PATH — an environment variable, so worker
-# processes inherit it and jobs>1 portfolio runs exercise real
-# subprocess racing in every shard.
-FAKE_SOLVER = os.path.join(os.path.dirname(__file__), "..", "smt",
-                           "fake_dimacs_solver.py")
 
 
 def _suite_bytes(jobs: int, **overrides) -> bytes:
@@ -76,19 +66,6 @@ def test_incremental_on_and_off_emit_identical_suites(reference, jobs):
     be byte-identical to the (incremental-on by default) reference, at
     every worker count."""
     assert _suite_bytes(jobs, incremental=False) == reference
-
-
-@pytest.mark.parametrize("jobs", JOBS)
-def test_portfolio_on_and_off_emit_identical_suites(reference, jobs,
-                                                    monkeypatch):
-    """The solver portfolio races an external back end on hard queries,
-    but verdicts are objective and models always come from the primary
-    back end — so the portfolio-on suite must be byte-identical to the
-    (portfolio-off) reference, at every worker count."""
-    monkeypatch.setenv("REPRO_SOLVER_PATH",
-                       f"{sys.executable} {os.path.abspath(FAKE_SOLVER)}")
-    raced = _suite_bytes(jobs, portfolio=("dimacs",), portfolio_budget=1)
-    assert raced == reference
 
 
 def test_per_program_results_align(reference):

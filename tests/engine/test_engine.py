@@ -94,12 +94,6 @@ def test_parallel_rejects_non_dfs_strategy():
                    TestGenConfig(strategy="random", jobs=2))
 
 
-def test_parallel_requires_solve_cache():
-    with pytest.raises(ValueError, match="solve_cache"):
-        ProgramRun(load_program("fig1a"), get_target("v1model"),
-                   TestGenConfig(solve_cache=False, jobs=2))
-
-
 # ---------------------------------------------------------------------------
 # Batch orchestration (cross-program)
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.faults import MUTATION_CATALOG, mutations_for, run_campaign
 from repro.faults.mutations import (
     mut_constant_off_by_one,
@@ -59,7 +59,8 @@ def test_mutations_report_inapplicable():
 def test_seeded_fault_is_detected_by_generated_tests():
     """The core Tbl. 2 loop on one (program, fault) cell."""
     clean = load_program("fig1a")
-    tests = TestGen(clean, target=V1Model(), seed=1).run().tests
+    tests = TestGen(clean, target=V1Model(),
+                    config=TestGenConfig(seed=1)).run().tests
 
     mutated = load_program("fig1a")
     assert mut_swallow_table_apply(mutated)
@@ -76,7 +77,8 @@ def test_seeded_fault_is_detected_by_generated_tests():
 
 def test_unmutated_baseline_passes():
     clean = load_program("fig1a")
-    tests = TestGen(clean, target=V1Model(), seed=1).run().tests
+    tests = TestGen(clean, target=V1Model(),
+                    config=TestGenConfig(seed=1)).run().tests
     sim = make_simulator("v1model", clean)
     assert all(run_test(t, clean, sim).passed for t in tests)
 

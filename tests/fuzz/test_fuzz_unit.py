@@ -211,8 +211,9 @@ def test_campaign_finding_produces_reproducer(tmp_path):
     # the campaign must catch it, classify it, shrink it, and leave a
     # corpus entry for every failing case (the no-silent-drop invariant).
     original = runner.SIMULATORS["v1model"]
-    runner.register_simulator(
-        "v1model", lambda program, seed=0: _Flipper(original(program, seed))
+    runner.SIMULATORS.register(
+        "v1model", lambda program, seed=0: _Flipper(original(program, seed)),
+        replace=True,
     )
     try:
         config = FuzzCampaignConfig(
@@ -221,7 +222,7 @@ def test_campaign_finding_produces_reproducer(tmp_path):
         )
         summary = run_fuzz_campaign(config)
     finally:
-        runner.register_simulator("v1model", original)
+        runner.SIMULATORS.register("v1model", original, replace=True)
 
     assert len(summary.cases) == 2
     assert summary.num_failed >= 1

@@ -3,7 +3,7 @@ must pass end-to-end on the matching (unmutated) software model."""
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import EbpfModel, T2na, Tna, V1Model
 from repro.testback.runner import run_suite
 
@@ -30,7 +30,8 @@ CASES = [
 @pytest.mark.parametrize("prog_name,target_cls", CASES)
 def test_generated_tests_pass_on_software_model(prog_name, target_cls):
     program = load_program(prog_name)
-    result = TestGen(program, target=target_cls(), seed=1).run(max_tests=25)
+    result = TestGen(program, target=target_cls(),
+                     config=TestGenConfig(seed=1)).run(max_tests=25)
     assert result.tests, "oracle must produce at least one test"
     passed, results = run_suite(result.tests, program)
     failures = [r for r in results if not r.passed]
@@ -42,7 +43,8 @@ def test_generated_tests_pass_on_software_model(prog_name, target_cls):
 @pytest.mark.parametrize("prog_name,target_cls", CASES)
 def test_different_seeds_still_pass(prog_name, target_cls):
     program = load_program(prog_name)
-    result = TestGen(program, target=target_cls(), seed=99, strategy="random").run(
+    result = TestGen(program, target=target_cls(),
+                     config=TestGenConfig(seed=99, strategy="random")).run(
         max_tests=10
     )
     passed, results = run_suite(result.tests, program)

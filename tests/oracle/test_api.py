@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro import TestGen, TestGenResult, load_program
+from repro import TestGen, TestGenConfig, TestGenResult, load_program
 from repro.ir.nodes import IrProgram
 from repro.programs import get_program_source, list_programs, program_path
 from repro.targets import V1Model, get_target
@@ -56,20 +56,22 @@ def test_target_registry():
 
 
 def test_testgen_accepts_program_name():
-    gen = TestGen("fig1a", target=V1Model(), seed=1)
+    gen = TestGen("fig1a", target=V1Model(), config=TestGenConfig(seed=1))
     result = gen.run(max_tests=2)
     assert len(result.tests) == 2
 
 
 def test_result_emit_all_backends():
-    result = TestGen("fig1a", target=V1Model(), seed=1).run(max_tests=2)
+    result = TestGen("fig1a", target=V1Model(),
+                     config=TestGenConfig(seed=1)).run(max_tests=2)
     assert isinstance(result, TestGenResult)
     for backend in ("stf", "ptf", "protobuf"):
         assert result.emit(backend).strip()
 
 
 def test_result_statistics_exposed():
-    result = TestGen("fig1a", target=V1Model(), seed=1).run(max_tests=2)
+    result = TestGen("fig1a", target=V1Model(),
+                     config=TestGenConfig(seed=1)).run(max_tests=2)
     assert result.statement_coverage > 0
     assert result.stats.tests_emitted == 2
     assert result.target == "v1model"
@@ -78,7 +80,8 @@ def test_result_statistics_exposed():
 def test_spec_only_baseline_runs():
     from repro.oracle.baselines import SpecOnlyV1Model
 
-    result = TestGen("fig1a", target=SpecOnlyV1Model(), seed=1).run()
+    result = TestGen("fig1a", target=SpecOnlyV1Model(),
+                     config=TestGenConfig(seed=1)).run()
     assert result.tests
     # The spec-only tool never generates a drop test: it does not know
     # about BMv2's drop port.

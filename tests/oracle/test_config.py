@@ -1,11 +1,10 @@
-"""TestGenConfig and the deprecated-keyword compatibility shim."""
+"""TestGenConfig: the one way to configure a run."""
 
 import dataclasses
 
 import pytest
 
 from repro import TestGen, TestGenConfig, load_program
-from repro.symex.explorer import Explorer
 from repro.targets import V1Model
 
 
@@ -27,7 +26,7 @@ def test_config_defaults():
     assert cfg.strategy == "dfs"
     assert cfg.prune_unsat is True
     assert cfg.jobs == 1
-    assert cfg.solve_cache is True
+    assert cfg.cache_capacity is None
 
 
 def test_testgen_config_path_emits_no_warning(recwarn):
@@ -38,34 +37,14 @@ def test_testgen_config_path_emits_no_warning(recwarn):
                 if issubclass(w.category, DeprecationWarning)]
 
 
-def test_testgen_legacy_kwargs_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="seed.*TestGen"):
-        gen = TestGen(load_program("fig1a"), target=V1Model(),
-                      seed=9, randomize_values=True)
-    assert gen.config.seed == 9
-    assert gen.config.randomize_values is True
-    # Legacy attribute views still read through to the config.
-    assert gen.seed == 9 and gen.randomize_values is True
-    result = gen.run(max_tests=2)
-    assert len(result.tests) == 2
-    assert all(t.seed == 9 for t in result.tests)
-
-
-def test_testgen_explorer_legacy_kwargs_warn():
+def test_testgen_explorer_takes_a_config_override():
     gen = TestGen(load_program("fig1a"), target=V1Model(),
                   config=TestGenConfig(seed=1))
-    with pytest.warns(DeprecationWarning, match="max_tests"):
-        explorer = gen.explorer(max_tests=3)
+    assert gen.explorer().max_tests is None
+    explorer = gen.explorer(gen.config.replace(max_tests=3))
     assert explorer.max_tests == 3
     assert explorer.seed == 1  # base config carries through
-
-
-def test_explorer_legacy_kwargs_warn():
-    program = load_program("fig1a")
-    with pytest.warns(DeprecationWarning, match="Explorer"):
-        explorer = Explorer(program, V1Model(), seed=2, max_tests=1)
-    assert explorer.seed == 2
-    assert len(list(explorer.run())) == 1
+    assert len(list(explorer.run())) == 3
 
 
 def test_unknown_kwarg_raises_type_error():

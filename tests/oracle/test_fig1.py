@@ -9,25 +9,28 @@ header -> forward).
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.externs.checksum import ones_complement16
 from repro.targets import V1Model
 
 
 @pytest.fixture(scope="module")
 def fig1a_tests():
-    gen = TestGen(load_program("fig1a"), target=V1Model(), seed=1)
+    gen = TestGen(load_program("fig1a"), target=V1Model(),
+                  config=TestGenConfig(seed=1))
     return gen.run().tests
 
 
 @pytest.fixture(scope="module")
 def fig1b_tests():
-    gen = TestGen(load_program("fig1b"), target=V1Model(), seed=1)
+    gen = TestGen(load_program("fig1b"), target=V1Model(),
+                  config=TestGenConfig(seed=1))
     return gen.run().tests
 
 
 def test_fig1a_full_statement_coverage():
-    gen = TestGen(load_program("fig1a"), target=V1Model(), seed=1)
+    gen = TestGen(load_program("fig1a"), target=V1Model(),
+                  config=TestGenConfig(seed=1))
     result = gen.run()
     assert result.statement_coverage == 100.0
 
@@ -130,8 +133,10 @@ def test_fig1b_short_packet_skips_checksum(fig1b_tests):
 
 
 def test_deterministic_across_runs():
-    r1 = TestGen(load_program("fig1a"), target=V1Model(), seed=7).run()
-    r2 = TestGen(load_program("fig1a"), target=V1Model(), seed=7).run()
+    r1 = TestGen(load_program("fig1a"), target=V1Model(),
+                 config=TestGenConfig(seed=7)).run()
+    r2 = TestGen(load_program("fig1a"), target=V1Model(),
+                 config=TestGenConfig(seed=7)).run()
     assert [t.input_packet.hex() for t in r1.tests] == [
         t.input_packet.hex() for t in r2.tests
     ]

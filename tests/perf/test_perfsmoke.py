@@ -113,21 +113,6 @@ def test_intern_pool_hit_fraction_above_floor(stats):
     )
 
 
-@pytest.mark.perfsmoke
-def test_native_only_runs_pay_nothing_for_the_portfolio(stats):
-    # With no portfolio configured (the default), build_portfolio
-    # returns None and every check takes the direct sat.solve path: no
-    # races, no per-backend bookkeeping, no subprocess machinery.
-    # Counter-based stand-in for the "<5% overhead when only the native
-    # backend is registered" budget — zero dispatches is zero overhead.
-    from repro.smt.backends import build_portfolio
-
-    assert build_portfolio(TestGenConfig(seed=SEED)) is None
-    assert stats.portfolio_races == 0
-    assert stats.backend_queries == {}
-    assert stats.backend_timeouts == {} and stats.backend_errors == {}
-
-
 # ---------------------------------------------------------------------------
 # Incremental feasibility plane (PR 10): sibling checks in the DFS tree
 # ride a retained clause database and trail instead of solving from

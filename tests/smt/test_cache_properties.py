@@ -199,10 +199,8 @@ def test_lru_eviction_order_is_alpha_invariant(capacity, ops):
             )
             if hit is not None:
                 reference.move_to_end(key.canon)
-    # Same survivors, same LRU order, same eviction count.  Entries are
-    # keyed ``(CacheKey, backend tag)`` since the portfolio work; the
-    # tag never varies within one cache, so order is still per-key.
-    assert [k.canon for k, _tag in cache._entries] == list(reference)
+    # Same survivors, same LRU order, same eviction count.
+    assert [k.canon for k in cache._entries] == list(reference)
     assert cache.evictions == evictions
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smt import Solver, terms as T
+from repro.smt import Solver, SolveResult, terms as T
 
 
 def solve_one(*assertions):
@@ -198,3 +198,42 @@ def test_wide_bitvectors():
     m = s.model()
     assert (m[pkt] & 0xFFFF) == 0xBEEF
     assert (m[pkt] >> 64) == 0xBADC0FFEE0DD
+
+
+# ---------------------------------------------------------------------------
+# SolveResult
+# ---------------------------------------------------------------------------
+
+def test_solve_result_is_its_status_string():
+    s, res = solve_one(T.eq(T.bv_var("a", 8), T.bv_const(5, 8)))
+    assert isinstance(res, SolveResult) and isinstance(res, str)
+    assert res == "sat" and res != "unsat"
+    assert res.status == "sat"
+    assert res.stats is s.stats
+    assert {res: 1}["sat"] == 1  # usable as a dict key
+
+
+def test_solve_result_is_immutable():
+    res = SolveResult("sat")
+    with pytest.raises(AttributeError):
+        res.model = None
+
+
+def test_check_and_model_attaches_model():
+    a = T.bv_var("a", 8)
+    s = Solver()
+    s.add(T.eq(a, T.bv_const(5, 8)))
+    res = s.check_and_model()
+    assert res == "sat" and res.model[a] == 5
+    s.add(T.eq(a, T.bv_const(6, 8)))
+    res = s.check_and_model()
+    assert res == "unsat" and res.model is None
+
+
+def test_solve_result_pickles_without_stats():
+    import pickle
+
+    res = SolveResult("unsat", stats=object())
+    clone = pickle.loads(pickle.dumps(res))
+    assert clone == "unsat" and clone.model is None
+    assert clone.stats is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.symex.coverage import CoverageTracker
 from repro.symex.explorer import Explorer
 from repro.targets import V1Model
@@ -14,20 +14,23 @@ def program():
 
 
 def test_max_tests_limit(program):
-    explorer = Explorer(program, V1Model(), seed=1, max_tests=5)
+    explorer = Explorer(program, V1Model(),
+                        config=TestGenConfig(seed=1, max_tests=5))
     tests = list(explorer.run())
     assert len(tests) == 5
 
 
 def test_max_paths_limit(program):
-    explorer = Explorer(program, V1Model(), seed=1, max_paths=10)
+    explorer = Explorer(program, V1Model(),
+                        config=TestGenConfig(seed=1, max_paths=10))
     list(explorer.run())
     assert explorer.stats.paths_finished <= 10
 
 
 def test_stop_at_full_coverage():
     prog = load_program("fig1a")
-    explorer = Explorer(prog, V1Model(), seed=1, stop_at_full_coverage=True)
+    explorer = Explorer(prog, V1Model(), config=TestGenConfig(
+        seed=1, stop_at_full_coverage=True))
     tests = list(explorer.run())
     assert explorer.coverage.fully_covered
     # Stopping early: fewer tests than the exhaustive 5.
@@ -38,8 +41,8 @@ def test_stop_at_full_coverage():
 def test_strategies_all_sound(strategy, program):
     from repro.testback.runner import run_suite
 
-    explorer = Explorer(program, V1Model(), seed=3, strategy=strategy,
-                        max_tests=15)
+    explorer = Explorer(program, V1Model(), config=TestGenConfig(
+        seed=3, strategy=strategy, max_tests=15))
     tests = list(explorer.run())
     assert tests
     passed, _ = run_suite(tests, program)
@@ -47,19 +50,21 @@ def test_strategies_all_sound(strategy, program):
 
 
 def test_unknown_strategy_rejected(program):
-    explorer = Explorer(program, V1Model(), strategy="zigzag", max_tests=1)
+    explorer = Explorer(program, V1Model(),
+                        config=TestGenConfig(strategy="zigzag", max_tests=1))
     with pytest.raises(ValueError):
         list(explorer.run())
 
 
 def test_generate_convenience(program):
-    explorer = Explorer(program, V1Model(), seed=1)
+    explorer = Explorer(program, V1Model(), config=TestGenConfig(seed=1))
     tests = explorer.generate(3)
     assert len(tests) == 3
 
 
 def test_stats_accumulate(program):
-    explorer = Explorer(program, V1Model(), seed=1, max_tests=5)
+    explorer = Explorer(program, V1Model(),
+                        config=TestGenConfig(seed=1, max_tests=5))
     list(explorer.run())
     stats = explorer.stats.as_dict()
     assert stats["steps"] > 0
@@ -93,6 +98,45 @@ def test_coverage_ignores_foreign_ids():
 
 
 def test_test_ids_sequential(program):
-    explorer = Explorer(program, V1Model(), seed=1, max_tests=4)
+    explorer = Explorer(program, V1Model(),
+                        config=TestGenConfig(seed=1, max_tests=4))
     tests = list(explorer.run())
     assert [t.test_id for t in tests] == [1, 2, 3, 4]
+
+
+def test_model_violating_the_path_is_never_emitted(program, monkeypatch):
+    """The emission certificate: a model that breaks a path conjunct
+    must stop the run instead of becoming a (wrong) test."""
+    from repro.smt import Model, all_hold, terms as T
+    from repro.symex.explorer import ModelCertificateError
+
+    explorer = Explorer(program, V1Model(), config=TestGenConfig(seed=1))
+    solver = explorer.model_solver
+    real_check, real_model = solver.check, solver.model
+    last_query = []
+
+    def check(*extra):
+        last_query[:] = extra
+        return real_check(*extra)
+
+    def corrupted_model(variables=None):
+        # Flip one variable so the first conjunct that depends on it
+        # evaluates false.
+        values = real_model(variables).as_dict()
+        for term in last_query:
+            for var in sorted(T.free_vars(term), key=lambda v: v.payload):
+                if var.width == 0:
+                    flipped = {**values, var: not values[var]}
+                else:
+                    mask = (1 << var.width) - 1
+                    flipped = {**values, var: ~values[var] & mask}
+                if not all_hold([term], flipped):
+                    return Model(flipped)
+        return Model(values)
+
+    monkeypatch.setattr(solver, "check", check)
+    monkeypatch.setattr(solver, "model", corrupted_model)
+    with pytest.raises(ModelCertificateError,
+                       match=r"middleblock\.p4: .* at choice path"):
+        list(explorer.run())
+    assert explorer.stats.tests_emitted == 0

@@ -86,13 +86,14 @@ def test_consume_slices_in_wire_order(data, consume1, consume2):
 def test_oracle_roundtrip_property(seed):
     """The paper's core soundness property as a hypothesis test: for
     any seed, every emitted fig1a test replays green on BMv2."""
-    from repro import TestGen, load_program
+    from repro import TestGen, TestGenConfig, load_program
     from repro.targets import V1Model
     from repro.testback.runner import run_suite
 
     program = load_program("fig1a")
-    result = TestGen(program, target=V1Model(), seed=seed,
-                     strategy="random").run(max_tests=6)
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=seed, strategy="random")
+                     ).run(max_tests=6)
     passed, results = run_suite(result.tests, program)
     assert passed == len(result.tests), [
         (r.kind, r.detail) for r in results if not r.passed

@@ -1,6 +1,6 @@
 """Value randomization (§3: ports 'chosen at random'), opt-in."""
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 from repro.testback.runner import run_suite
 
@@ -17,8 +17,9 @@ def _set_out_ports(tests):
 
 def test_randomized_tests_stay_sound():
     program = load_program("fig1a")
-    gen = TestGen(program, target=V1Model(), seed=42)
-    explorer = gen.explorer(randomize_values=True)
+    gen = TestGen(program, target=V1Model(),
+                  config=TestGenConfig(seed=42, randomize_values=True))
+    explorer = gen.explorer()
     tests = list(explorer.run())
     passed, results = run_suite(tests, program)
     assert passed == len(tests), [
@@ -28,13 +29,15 @@ def test_randomized_tests_stay_sound():
 
 def test_randomization_diversifies_ports():
     program = load_program("fig1a")
-    baseline = TestGen(program, target=V1Model(), seed=42).run()
+    baseline = TestGen(program, target=V1Model(),
+                       config=TestGenConfig(seed=42)).run()
     base_ports = set(_set_out_ports(baseline.tests))
 
     collected = set()
     for seed in (1, 2, 3):
-        gen = TestGen(program, target=V1Model(), seed=seed)
-        explorer = gen.explorer(randomize_values=True)
+        gen = TestGen(program, target=V1Model(),
+                      config=TestGenConfig(seed=seed, randomize_values=True))
+        explorer = gen.explorer()
         collected |= set(_set_out_ports(list(explorer.run())))
     # Randomized runs across seeds must produce more port diversity
     # than the deterministic default-model runs.
@@ -45,9 +48,8 @@ def test_randomization_is_seeded():
     program = load_program("fig1a")
 
     def run(seed):
-        explorer = TestGen(program, target=V1Model(), seed=seed).explorer(
-            randomize_values=True
-        )
+        explorer = TestGen(program, target=V1Model(), config=TestGenConfig(
+            seed=seed, randomize_values=True)).explorer()
         return _set_out_ports(list(explorer.run()))
 
     assert run(9) == run(9)

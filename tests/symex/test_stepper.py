@@ -3,7 +3,7 @@ table application — driven through small crafted programs."""
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 
 V1_TEMPLATE = """
@@ -31,7 +31,8 @@ V1Switch(P(), V(), I(), E(), CK(), D()) main;
 
 def run_ingress(body, max_tests=20, seed=1):
     program = load_program(V1_TEMPLATE.format(ingress=body), "stepper_test.p4")
-    result = TestGen(program, target=V1Model(), seed=seed).run(max_tests=max_tests)
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=seed)).run(max_tests=max_tests)
     return result
 
 
@@ -140,6 +141,7 @@ def test_tests_replay_on_simulator():
         ),
         "stepper_replay.p4",
     )
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     passed, results = run_suite(result.tests, program)
     assert passed == len(result.tests)

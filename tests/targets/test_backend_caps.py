@@ -8,7 +8,7 @@ possible."
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import Tna, V1Model
 from repro.testback.runner import run_suite
 
@@ -16,8 +16,10 @@ from repro.testback.runner import run_suite
 def test_stf_cannot_install_range_entries():
     """The range table in match_kinds.p4 only misses under STF."""
     program = load_program("match_kinds")
-    ptf = TestGen(program, target=V1Model(test_framework="ptf"), seed=1).run()
-    stf = TestGen(program, target=V1Model(test_framework="stf"), seed=1).run()
+    ptf = TestGen(program, target=V1Model(test_framework="ptf"),
+                  config=TestGenConfig(seed=1)).run()
+    stf = TestGen(program, target=V1Model(test_framework="stf"),
+                  config=TestGenConfig(seed=1)).run()
 
     def range_hits(tests):
         return sum(
@@ -35,8 +37,10 @@ def test_stf_cannot_install_range_entries():
 def test_stf_cannot_initialize_registers():
     """register_demo's DEADBEEF gate is only reachable via PTF."""
     program = load_program("register_demo")
-    ptf = TestGen(program, target=V1Model(test_framework="ptf"), seed=1).run()
-    stf = TestGen(program, target=V1Model(test_framework="stf"), seed=1).run()
+    ptf = TestGen(program, target=V1Model(test_framework="ptf"),
+                  config=TestGenConfig(seed=1)).run()
+    stf = TestGen(program, target=V1Model(test_framework="stf"),
+                  config=TestGenConfig(seed=1)).run()
     assert any(t.registers for t in ptf.tests)
     assert not any(t.registers for t in stf.tests)
     # The opcode==2 / value==DEADBEEF forward path needs register init.
@@ -50,8 +54,8 @@ def test_capability_limited_tests_still_sound():
     for framework in ("stf", "ptf"):
         program = load_program("match_kinds")
         result = TestGen(
-            program, target=V1Model(test_framework=framework), seed=1
-        ).run(max_tests=30)
+            program, target=V1Model(test_framework=framework),
+            config=TestGenConfig(seed=1)).run(max_tests=30)
         passed, _ = run_suite(result.tests, program)
         assert passed == len(result.tests)
 

@@ -8,7 +8,7 @@ analogue of the paper's snippet.
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import Tna
 from repro.testback.runner import run_suite
 
@@ -16,7 +16,7 @@ from repro.testback.runner import run_suite
 @pytest.fixture(scope="module")
 def fig4():
     program = load_program("tna_fig4")
-    result = TestGen(program, target=Tna(), seed=1).run()
+    result = TestGen(program, target=Tna(), config=TestGenConfig(seed=1)).run()
     return program, result
 
 

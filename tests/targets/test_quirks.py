@@ -6,7 +6,7 @@ lists as requiring whole-program semantics.
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import EbpfModel, T2na, Tna, V1Model
 from repro.testback.runner import run_suite
 
@@ -17,14 +17,16 @@ from repro.testback.runner import run_suite
 
 def test_bmv2_default_output_port_is_zero():
     """'BMv2's default output port is 0.'"""
-    result = TestGen(load_program("fig1a"), target=V1Model(), seed=1).run()
+    result = TestGen(load_program("fig1a"), target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     no_entry = [t for t in result.tests if not t.entries and not t.dropped]
     assert no_entry and all(t.expected[0].port == 0 for t in no_entry)
 
 
 def test_bmv2_drop_port_511():
     """'BMv2 drops packets when the egress port is 511.'"""
-    result = TestGen(load_program("fig1a"), target=V1Model(), seed=1).run()
+    result = TestGen(load_program("fig1a"), target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     dropped = [t for t in result.tests if t.dropped and t.entries]
     assert dropped
     for t in dropped:
@@ -35,7 +37,8 @@ def test_bmv2_drop_port_511():
 def test_bmv2_parser_error_does_not_drop():
     """'A parser error in BMv2 does not drop the packet; the header is
     invalid and execution skips to ingress.'"""
-    result = TestGen(load_program("fig1a"), target=V1Model(), seed=1).run()
+    result = TestGen(load_program("fig1a"), target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     short = [t for t in result.tests if t.input_packet.width < 112]
     assert short and all(not t.dropped for t in short)
 
@@ -68,7 +71,8 @@ def test_bmv2_uninitialized_variables_read_zero():
     from repro import load_program as lp
 
     program = lp(program_src)
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     forwarded = [t for t in result.tests if not t.dropped]
     # Zero-init means the branch is constant: everyone goes to port 3.
     assert forwarded and all(t.expected[0].port == 3 for t in forwarded)
@@ -90,7 +94,8 @@ def test_bmv2_const_entry_priority_annotation():
 
 def test_bmv2_recirculate_bounded_and_replayable():
     program = load_program("recirc_demo")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     # hops==1 path recirculates: its trace must show it.
     recirc = [t for t in result.tests
               if any("recirculate" in line for line in t.trace)]
@@ -105,7 +110,8 @@ def test_bmv2_recirculate_bounded_and_replayable():
 
 def test_tofino_minimum_packet_size():
     """'Packets must have a minimum size of 64 bytes.'"""
-    result = TestGen(load_program("tna_forward"), target=Tna(), seed=1).run()
+    result = TestGen(load_program("tna_forward"), target=Tna(),
+                     config=TestGenConfig(seed=1)).run()
     assert result.tests
     for t in result.tests:
         assert t.input_packet.width >= 64 * 8
@@ -114,7 +120,8 @@ def test_tofino_minimum_packet_size():
 def test_tofino_unwritten_egress_port_drops():
     """'If the egress port variable is not written ... the packet is
     automatically considered dropped.'"""
-    result = TestGen(load_program("tna_forward"), target=Tna(), seed=1).run()
+    result = TestGen(load_program("tna_forward"), target=Tna(),
+                     config=TestGenConfig(seed=1)).run()
     # The miss path runs default drop(); the noop-ish miss cannot
     # forward either because the port was never written.
     no_entry = [t for t in result.tests if not t.entries]
@@ -125,7 +132,8 @@ def test_tofino_metadata_prepend_not_in_input():
     """'Tofino prepends metadata to the packet ... parseable but not
     part of the input.'  The program extracts 64+64 bits of metadata
     before Ethernet, yet the input packet contains only Ethernet."""
-    result = TestGen(load_program("tna_forward"), target=Tna(), seed=1).run()
+    result = TestGen(load_program("tna_forward"), target=Tna(),
+                     config=TestGenConfig(seed=1)).run()
     forwarded = [t for t in result.tests if not t.dropped]
     assert forwarded
     for t in forwarded:
@@ -140,7 +148,7 @@ def test_t2na_short_packet_skips_extract():
     t2 = T2na()
     assert t2.PORT_METADATA_BITS > t1.PORT_METADATA_BITS
     program = load_program("tna_forward")
-    result = TestGen(program, target=t2, seed=1).run()
+    result = TestGen(program, target=t2, config=TestGenConfig(seed=1)).run()
     passed, _ = run_suite(result.tests, program)
     assert passed == len(result.tests)
 
@@ -167,7 +175,8 @@ def test_tna_taint_mitigation_auto_init_metadata():
 def test_ebpf_failing_extract_drops():
     """'A failing extract or advance in the eBPF kernel automatically
     drops the packet.'"""
-    result = TestGen(load_program("ebpf_filter"), target=EbpfModel(), seed=1).run()
+    result = TestGen(load_program("ebpf_filter"), target=EbpfModel(),
+                     config=TestGenConfig(seed=1)).run()
     short = [t for t in result.tests if t.input_packet.width < 112]
     assert short and all(t.dropped for t in short)
 
@@ -176,7 +185,8 @@ def test_ebpf_implicit_deparser_reemits_headers():
     """'The eBPF target does not have a deparser ... iterate over all
     headers and emit based on validity.'"""
     program = load_program("ebpf_filter")
-    result = TestGen(program, target=EbpfModel(), seed=1).run()
+    result = TestGen(program, target=EbpfModel(),
+                     config=TestGenConfig(seed=1)).run()
     accepted = [t for t in result.tests if not t.dropped]
     assert accepted
     for t in accepted:
@@ -198,7 +208,8 @@ def test_bmv2_clone_duplicates_packet():
     location it was called' — the I2E clone adds a second expected
     output on the mirror session's port."""
     program = load_program("clone_demo")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     cloned = [t for t in result.tests if len(t.expected) == 2]
     assert cloned, "a cloned path must produce two expected packets"
     t = cloned[0]

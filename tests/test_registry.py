@@ -1,10 +1,9 @@
 """Unit tests for the shared plugin registry (repro.registry).
 
-All three plugin surfaces — test back ends, simulators, solver back
-ends — are instances of one :class:`Registry`; these tests pin the
-shared behavior (validated registration, duplicate protection,
-did-you-mean lookup errors, dict compatibility) plus the deprecation
-shims the old per-module functions became.
+Both plugin surfaces — test back ends and simulators — are instances
+of one :class:`Registry`; these tests pin the shared behavior
+(validated registration, duplicate protection, did-you-mean lookup
+errors, dict compatibility).
 """
 
 import pytest
@@ -119,41 +118,12 @@ def test_mapping_protocol_matches_dict_usage():
 
 
 # ---------------------------------------------------------------------------
-# The three real registries share the implementation
+# The real registries share the implementation
 # ---------------------------------------------------------------------------
 
-def test_all_three_plugin_registries_are_registry_instances():
-    from repro.smt.backends import SOLVERS
+def test_plugin_registries_are_registry_instances():
     from repro.testback import BACKENDS
     from repro.testback.runner import SIMULATORS
 
-    for reg in (BACKENDS, SIMULATORS, SOLVERS):
+    for reg in (BACKENDS, SIMULATORS):
         assert isinstance(reg, Registry)
-
-
-def test_legacy_register_functions_warn_and_delegate():
-    from repro.testback import BACKENDS, register_backend
-    from repro.testback.runner import SIMULATORS, register_simulator
-
-    class _Backend:
-        name = "shimmed"
-
-        def render_test(self, test):
-            return ""
-
-        def render_suite(self, tests):
-            return ""
-
-    with pytest.warns(DeprecationWarning, match="BACKENDS.register"):
-        register_backend("shimmed", _Backend)
-    try:
-        assert BACKENDS["shimmed"] is _Backend
-    finally:
-        del BACKENDS["shimmed"]
-
-    with pytest.warns(DeprecationWarning, match="SIMULATORS.register"):
-        register_simulator("shimmed-sim", lambda program, seed: None)
-    try:
-        assert "shimmed-sim" in SIMULATORS
-    finally:
-        del SIMULATORS["shimmed-sim"]

@@ -6,12 +6,7 @@ import pytest
 
 from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
-from repro.testback import (
-    BACKENDS,
-    SuiteWriter,
-    get_backend,
-    register_backend,
-)
+from repro.testback import BACKENDS, SuiteWriter, get_backend
 
 
 def _some_tests(n=3):
@@ -21,7 +16,7 @@ def _some_tests(n=3):
 
 
 # ---------------------------------------------------------------------------
-# register_backend
+# BACKENDS.register
 # ---------------------------------------------------------------------------
 
 class _CountBackend:
@@ -37,7 +32,7 @@ class _CountBackend:
 
 
 def test_register_backend_round_trip():
-    register_backend("count", _CountBackend)
+    BACKENDS.register("count", _CountBackend)
     try:
         backend = get_backend("count")
         assert backend.render_suite(_some_tests(2)) == "test 1\ntest 2\n"
@@ -55,19 +50,19 @@ def test_unknown_backend_error_lists_registered_names():
 
 def test_register_backend_validates():
     with pytest.raises(ValueError):
-        register_backend("", _CountBackend)
+        BACKENDS.register("", _CountBackend)
 
     class Incomplete:
         def render_suite(self, tests):
             return ""
 
     with pytest.raises(TypeError, match="render_test"):
-        register_backend("broken", Incomplete)
+        BACKENDS.register("broken", Incomplete)
     assert "broken" not in BACKENDS
 
 
 def test_registered_backend_reaches_result_emit():
-    register_backend("count", _CountBackend)
+    BACKENDS.register("count", _CountBackend)
     try:
         gen = TestGen(load_program("fig1a"), target=V1Model(),
                       config=TestGenConfig(seed=1, max_tests=2))

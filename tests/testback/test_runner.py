@@ -69,7 +69,7 @@ def test_registry_lists_known_targets_on_miss(fig1a):
 
 
 def test_register_simulator_round_trip(fig1a):
-    from repro.testback.runner import SIMULATORS, register_simulator
+    from repro.testback.runner import SIMULATORS
 
     calls = []
 
@@ -77,13 +77,13 @@ def test_register_simulator_round_trip(fig1a):
         calls.append((program, seed))
         return make_simulator("v1model", program, seed)
 
-    register_simulator("custom-sim", factory)
+    SIMULATORS.register("custom-sim", factory)
     try:
         sim = make_simulator("custom-sim", fig1a, seed=3)
         assert sim.__class__.__name__ == "Bmv2Simulator"
         assert calls == [(fig1a, 3)]
         with pytest.raises(TypeError):
-            register_simulator("bad", "not-a-callable")
+            SIMULATORS.register("bad", "not-a-callable")
     finally:
         SIMULATORS.pop("custom-sim", None)
 

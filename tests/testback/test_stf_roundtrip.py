@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TestGen, load_program
+from repro import TestGen, TestGenConfig, load_program
 from repro.targets import V1Model
 from repro.testback import get_backend
 from repro.testback.runner import run_suite
@@ -12,7 +12,8 @@ from repro.testback.stf_parser import StfParseError, parse_stf
 @pytest.fixture(scope="module")
 def fig1a_suite():
     program = load_program("fig1a")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     text = get_backend("stf").render_suite(result.tests)
     return program, result.tests, text
 
@@ -55,7 +56,8 @@ def test_parsed_tests_replay_green(fig1a_suite):
 
 def test_wildcards_round_trip():
     program = load_program("taint_key")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     text = get_backend("stf").render_suite(result.tests)
     parsed = parse_stf(text)
     # taint_key's nonce-derived wildcards survive the round trip.
@@ -65,7 +67,8 @@ def test_wildcards_round_trip():
 
 def test_value_set_round_trip():
     program = load_program("value_set_demo")
-    result = TestGen(program, target=V1Model(), seed=1).run()
+    result = TestGen(program, target=V1Model(),
+                     config=TestGenConfig(seed=1)).run()
     text = get_backend("stf").render_suite(result.tests)
     parsed = parse_stf(text)
     assert any(t.value_sets for t in parsed)
