@@ -32,23 +32,23 @@ def _run():
         "tests": len(tests),
         "wall_s": time.perf_counter() - t0,
         "checks": explorer.stats.solver_checks,
-        "interned_terms": len(T._INTERN),
+        "interned_terms": T.intern_pool_size(),
     }
 
 
 def test_ablation_smt_simplifier(benchmark):
     def run():
         results = {}
-        T._INTERN.clear()
+        T.clear_intern_pool()
         T.set_simplify(True)
         results["simplify on"] = _run()
-        T._INTERN.clear()
+        T.clear_intern_pool()
         T.set_simplify(False)
         try:
             results["simplify off"] = _run()
         finally:
             T.set_simplify(True)
-            T._INTERN.clear()
+            T.clear_intern_pool()
         return results
 
     results = once(benchmark, run)

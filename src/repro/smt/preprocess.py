@@ -21,6 +21,11 @@ feasibility checks never reach bit-blasting:
    UNSAT; if *every* residual conjunct was absorbed into a domain and
    every domain yields a witness value, the set is SAT.
 
+The same per-atom fold (:meth:`Domain.absorb`) backs :func:`var_domain`,
+which reads one variable's domain straight off a conjunct set — there
+``var == c`` folds too, as ``lo = hi = c``.  The explorer uses it to
+find the minimum packet length a path admits without a search.
+
 Soundness contract:
 
 - ``"unsat"`` is returned only on a precise word-level argument: a
@@ -41,7 +46,8 @@ from __future__ import annotations
 from .evaluate import all_hold
 from .terms import Term, bool_const, substitute
 
-__all__ = ["PreprocessResult", "preprocess_conjuncts"]
+__all__ = ["Domain", "PreprocessResult", "preprocess_conjuncts",
+           "var_domain"]
 
 # Equality propagation rounds before giving up on a fixpoint.  Most
 # cascades (bind, substitute, fold, bind again) settle in two.
@@ -102,7 +108,7 @@ def _as_binding(t: Term):
     return None
 
 
-class _Domain:
+class Domain:
     """Interval + fixed-bits + disequality facts for one variable."""
 
     __slots__ = ("width", "lo", "hi", "mask", "val", "excluded",
@@ -117,8 +123,25 @@ class _Domain:
         self.excluded: set[int] = set()
         self.overflow = False  # too many disequalities to track exactly
 
-    def conflict(self) -> bool:
-        return self.lo > self.hi
+    def absorb(self, kind: str, payload) -> bool:
+        """Fold one :func:`_parse_atom` fact in; False once the facts
+        are exactly contradictory."""
+        if kind == "lt":
+            self.hi = min(self.hi, payload - 1)
+        elif kind == "le":
+            self.hi = min(self.hi, payload)
+        elif kind == "gt":
+            self.lo = max(self.lo, payload + 1)
+        elif kind == "ge":
+            self.lo = max(self.lo, payload)
+        elif kind == "eq":
+            self.lo = max(self.lo, payload)
+            self.hi = min(self.hi, payload)
+        elif kind == "ne":
+            self.exclude(payload)
+        elif not self.fix_bits(*payload):  # "mask"
+            return False
+        return self.lo <= self.hi
 
     def exclude(self, value: int) -> None:
         if len(self.excluded) >= MAX_EXCLUDED:
@@ -206,11 +229,11 @@ def _parse_atom(t: Term):
         return None
     if t.op == "eq":
         a, b = t.args
+        if a.op == "var" and b.op == "const":
+            return (a, "ne" if neg else "eq", b.payload)
+        if b.op == "var" and a.op == "const":
+            return (b, "ne" if neg else "eq", a.payload)
         if neg:
-            if a.op == "var" and b.op == "const":
-                return (a, "ne", b.payload)
-            if b.op == "var" and a.op == "const":
-                return (b, "ne", a.payload)
             return None
         for x, y in ((a, b), (b, a)):
             if x.op == "bvand" and y.op == "const":
@@ -232,7 +255,7 @@ def _domain_analysis(residual):
     """
     if not residual:
         return "sat", {}
-    doms: dict[Term, _Domain] = {}
+    doms: dict[Term, Domain] = {}
     unparsed = False
     for t in residual:
         fact = _parse_atom(t)
@@ -242,21 +265,8 @@ def _domain_analysis(residual):
         var, kind, payload = fact
         d = doms.get(var)
         if d is None:
-            d = doms[var] = _Domain(var.width)
-        if kind == "lt":
-            d.hi = min(d.hi, payload - 1)
-        elif kind == "le":
-            d.hi = min(d.hi, payload)
-        elif kind == "gt":
-            d.lo = max(d.lo, payload + 1)
-        elif kind == "ge":
-            d.lo = max(d.lo, payload)
-        elif kind == "ne":
-            d.exclude(payload)
-        elif kind == "mask":
-            if not d.fix_bits(*payload):
-                return "unsat", None
-        if d.conflict():
+            d = doms[var] = Domain(var.width)
+        if not d.absorb(kind, payload):
             return "unsat", None
     witness = {}
     undecided = unparsed
@@ -271,6 +281,28 @@ def _domain_analysis(residual):
     if undecided:
         return None, None
     return "sat", witness
+
+
+def var_domain(conjuncts, var: Term) -> Domain | None:
+    """``var``'s domain under the single-variable atoms of ``conjuncts``
+    (nested ``and``s flattened), or None if those atoms contradict.
+
+    Every folded fact is a literal conjunct, so every value outside the
+    domain violates one: ``pick()`` is a lower bound on ``var`` over the
+    models of ``conjuncts``.  Atoms that are not single-variable facts
+    are skipped, which only widens the domain.
+    """
+    d = Domain(var.width)
+    stack = list(conjuncts)
+    while stack:
+        t = stack.pop()
+        if t.op == "and":
+            stack.extend(t.args)
+            continue
+        fact = _parse_atom(t)
+        if fact is not None and fact[0] == var and not d.absorb(*fact[1:]):
+            return None
+    return d
 
 
 def preprocess_conjuncts(conjuncts) -> PreprocessResult:

@@ -29,6 +29,7 @@ import time
 
 from ..config import TestGenConfig
 from ..smt import SolveCache, Solver, all_hold, evaluate, terms as T
+from ..smt.preprocess import var_domain
 from ..testback.spec import (
     AbstractTestCase,
     ExpectedPacket,
@@ -529,17 +530,13 @@ class Explorer:
     def _build_test(self, state, assumptions, model) -> AbstractTestCase | None:
         # --- input packet length -------------------------------------
         pkt = state.packet
-        pkt_len = self._choose_pkt_len(state, assumptions, model)
-        if pkt_len is None:
+        chosen = self._choose_pkt_len(state, assumptions, model)
+        if chosen is None:
             self.stats.paths_infeasible += 1
             return None
-        # Re-solve with the length pinned so every value is consistent.
+        # Every value comes from the model with the length pinned.
+        pkt_len, model = chosen
         pins = [T.eq(pkt.pkt_len, T.bv_const(pkt_len, 32))]
-        status = self.model_solver.check(*assumptions, *pins)
-        if status != "sat":
-            self.stats.paths_infeasible += 1
-            return None
-        model = self.model_solver.model()
 
         if self.randomize_values:
             model, pins = self._randomize_model(state, assumptions, pins, model)
@@ -607,38 +604,62 @@ class Explorer:
         self.coverage.record(state.coverage)
         return test
 
-    def _choose_pkt_len(self, state, assumptions, model) -> int | None:
+    def _choose_pkt_len(self, state, assumptions, model):
         """Minimum input length consistent with the path (the paper's
-        "minimum header size required to exercise the path")."""
-        pkt = state.packet
-        want = pkt.input_bits
-        # Fast path: exactly the consumed bits.
-        if self.model_solver.check(
-            *assumptions, T.eq(pkt.pkt_len, T.bv_const(want, 32))
-        ) == "sat":
-            return want
-        # Otherwise binary-search the smallest feasible length in
-        # [0, model value], reading the witness value from each SAT
-        # model so the final answer is itself feasible.  (Too-short
-        # branches and target minimum sizes land here.)
-        best = _model_eval(pkt.pkt_len, model)
-        lo = 0
+        "minimum header size required to exercise the path").
+
+        Returns ``(length, model)``, where ``model`` is the canonical
+        model of the path with ``pkt_len`` pinned to ``length``, or None
+        if the path is infeasible.
+        """
+        pkt_len = state.packet.pkt_len
+        solver = self.model_solver
+
+        def pinned(length):
+            status = solver.check(
+                *assumptions, T.eq(pkt_len, T.bv_const(length, 32)))
+            return (length, solver.model()) if status == "sat" else None
+
+        # Every value below the least one in pkt_len's word-level domain
+        # violates a path conjunct, so if that value is feasible it is
+        # the minimum.  (Target minimum sizes, fixed sizes and too-short
+        # windows are all single-variable atoms.)
+        domain = var_domain(assumptions, pkt_len)
+        least = domain.pick() if domain is not None else None
+        if least is ...:
+            least = None
+        # Fast path: exactly the consumed bits, unless the domain
+        # already rules them out.
+        want = state.packet.input_bits
+        if least is None or least <= want:
+            chosen = pinned(want)
+            if chosen is not None:
+                return chosen
+        lo = domain.lo if domain is not None else 0
+        if least is not None:
+            if least != want:
+                chosen = pinned(least)
+                if chosen is not None:
+                    return chosen
+            lo = least + 1
+        # The domain was imprecise: binary-search the smallest feasible
+        # length in [lo, model value], reading the witness value from
+        # each SAT model so the final answer is itself feasible.
+        best = _model_eval(pkt_len, model)
         hi = best - 1
         for _ in range(34):
             if lo > hi:
                 break
             mid = (lo + hi) // 2
-            ok = self.model_solver.check(
-                *assumptions,
-                T.ule(pkt.pkt_len, T.bv_const(mid, 32)),
-            ) == "sat"
+            ok = solver.check(
+                *assumptions, T.ule(pkt_len, T.bv_const(mid, 32))) == "sat"
             if ok:
-                witness = _model_eval(pkt.pkt_len, self.model_solver.model())
+                witness = _model_eval(pkt_len, solver.model())
                 best = min(best, witness)
                 hi = witness - 1
             else:
                 lo = mid + 1
-        return best
+        return pinned(best)
 
     def _path_rng(self, state) -> random.Random:
         """Randomization RNG derived from (seed, choice path) so random

@@ -253,3 +253,29 @@ def test_batch_replay_smoke_corpus_stays_compiled(replay_stats):
     assert replay_stats.replay_fallback_programs == 0
     assert replay_stats.replay_scalar_packets == 0
     assert replay_stats.replay_compiled_programs == len(REPLAY_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# Packet-length minimisation: on tna the 64-byte minimum defeats the
+# "exactly the consumed bits" fast path on every test, so the minimum
+# length is read off pkt_len's word-level domain and confirmed with one
+# canonical query.  Measured: 2 canonical queries per emitted test (the
+# per-test binary search it replaced needed 15).  Counters only.
+# ---------------------------------------------------------------------------
+
+TNA_QUERIES_PER_TEST_CEILING = 5
+
+
+@pytest.mark.perfsmoke
+def test_tna_canonical_queries_per_test_below_ceiling():
+    config = TestGenConfig(seed=SEED, max_tests=80)
+    result = TestGen(load_program("switch_lite"), target=get_target("tna"),
+                     config=config).run()
+    assert len(result.tests) == 80
+    stats = result.stats
+    per_test = (stats.cache_hits + stats.cache_misses) / len(result.tests)
+    assert per_test <= TNA_QUERIES_PER_TEST_CEILING, (
+        f"{per_test:.2f} canonical queries per emitted test on "
+        f"switch_lite/tna; ceiling is {TNA_QUERIES_PER_TEST_CEILING} — "
+        f"the packet-length search is bisecting again"
+    )
