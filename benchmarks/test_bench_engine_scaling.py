@@ -33,22 +33,20 @@ def _campaign(program, config):
     gen = TestGen(program, target=V1Model(), config=config)
     tests = list(gen.iter_tests())
     wall = time.perf_counter() - t0
-    stats = gen.last_run.stats.as_dict()
+    stats = gen.last_run.stats
     from repro.testback import get_backend
 
     return {
         "wall_s": wall,
         "tests": len(tests),
-        "hits": stats["cache_hits"],
-        "misses": stats["cache_misses"],
-        "saved_s": stats["cache_time_saved_s"],
-        "elided": (stats["elide_hits_model"] + stats["elide_hits_rewrite"]
-                   + stats["elide_hits_subsume"]),
-        "sat_solves": stats["sat_solves"],
-        "blast_hits": stats["blast_cache_hits"],
-        "blast_misses": stats["blast_cache_misses"],
-        "blast_replayed": stats["blast_clauses_replayed"],
-        "intern_hits": stats["intern_hits"],
+        "hits": stats.cache_hits,
+        "misses": stats.cache_misses,
+        "saved_s": stats.cache_time_saved_s,
+        "elided": stats.elide_hits,
+        "sat_solves": stats.sat_solves,
+        "blast_hits": stats.blast_cache_hits,
+        "blast_misses": stats.blast_cache_misses,
+        "blast_replayed": stats.blast_clauses_replayed,
         "suite": get_backend("stf").render_suite(tests),
         "coverage": gen.last_run.coverage.statement_percent,
     }
@@ -60,7 +58,6 @@ def test_engine_scaling(benchmark):
         base = TestGenConfig(seed=1, max_tests=MAX_TESTS)
         return {
             "cache off": _campaign(program, base.replace(cache_capacity=0)),
-            "no intern": _campaign(program, base.replace(intern=False)),
             "cache on ": _campaign(program, base),
             "jobs=4   ": _campaign(program, base.replace(jobs=4)),
         }
@@ -94,22 +91,18 @@ def test_engine_scaling(benchmark):
 
     cached = results["cache on "]
     parallel = results["jobs=4   "]
-    nointern = results["no intern"]
     # The acceptance bar: a measurable hit rate and genuine savings.
     assert cached["hits"] > 0
     assert cached["saved_s"] > 0
     assert parallel["hits"] > 0
     # The shared blast cache must be live on every canonical-cache run
-    # (per worker process under jobs=4), and dead with interning off.
+    # (per worker process under jobs=4).
     assert cached["blast_hits"] > 0 and cached["blast_replayed"] > 0
     assert parallel["blast_hits"] > 0
-    assert nointern["blast_hits"] == 0 and nointern["intern_hits"] == 0
     # Every configuration explores the same paths.
-    assert (cached["tests"] == parallel["tests"] == nointern["tests"]
+    assert (cached["tests"] == parallel["tests"]
             == results["cache off"]["tests"])
-    assert cached["coverage"] == parallel["coverage"] == nointern["coverage"]
-    # Determinism: jobs=4, intern-off and cache-off emit the
-    # byte-identical suite.
+    assert cached["coverage"] == parallel["coverage"]
+    # Determinism: jobs=4 and cache-off emit the byte-identical suite.
     assert parallel["suite"] == cached["suite"]
-    assert nointern["suite"] == cached["suite"]
     assert results["cache off"]["suite"] == cached["suite"]

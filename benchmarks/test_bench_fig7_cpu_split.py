@@ -36,24 +36,15 @@ def test_fig7_cpu_split(benchmark):
         return explorer, tests, wall
 
     explorer, tests, wall = once(benchmark, run)
-    # Two solvers cooperate per run: the incremental pruning solver and
-    # the canonical model solver (see repro.symex.explorer); sum both.
-    prune = explorer.solver.stats
-    model = explorer.model_solver.stats
+    # Two solvers cooperate per run — the incremental pruning solver and
+    # the canonical model solver (see repro.symex.explorer) — and both
+    # count into the explorer's run record.
     stats = explorer.stats
-
-    class _Agg:
-        checks = prune.checks + model.checks
-        sat_answers = prune.sat_answers + model.sat_answers
-        unsat_answers = prune.unsat_answers + model.unsat_answers
-        solve_time = prune.solve_time + model.solve_time
-        blast_time = prune.blast_time + model.blast_time
-
-    solver = _Agg
-    solve = solver.solve_time
-    blast = solver.blast_time
+    solve = stats.solve_time_s
+    blast = stats.blast_time_s
     stepping = stats.step_time
     other = max(wall - solve - blast - stepping, 0.0)
+    checks = stats.solver_checks
 
     def pct(x):
         return 100.0 * x / wall if wall else 0.0
@@ -65,18 +56,17 @@ def test_fig7_cpu_split(benchmark):
         f"  CNF encoding:        {blast:8.2f} s ({pct(blast):5.1f}%)",
         f"  symbolic stepping:   {stepping:8.2f} s ({pct(stepping):5.1f}%)",
         f"  other (finalize/IO): {other:8.2f} s ({pct(other):5.1f}%)",
-        f"solver checks: {solver.checks} (sat={solver.sat_answers}, "
-        f"unsat={solver.unsat_answers}); "
-        f"{1000 * solve / max(solver.checks, 1):.1f} ms/check",
-        f"query elision: {prune.elide_hits + model.elide_hits} of "
-        f"{solver.checks} checks answered without SAT "
-        f"(model-reuse={prune.elide_hits_model + model.elide_hits_model}, "
-        f"rewrite={prune.elide_hits_rewrite + model.elide_hits_rewrite}, "
-        f"subsume={prune.elide_hits_subsume + model.elide_hits_subsume}); "
-        f"cache hits={model.cache_hits}; "
-        f"sat solves={prune.sat_solves + model.sat_solves}",
-        f"  word-level rewrite pass:"
-        f"{prune.rewrite_time_s + model.rewrite_time_s:8.2f} s",
+        f"solver checks: {checks} (feasibility={stats.feasibility_checks}, "
+        f"canonical={stats.cache_hits + stats.cache_misses}); "
+        f"{1000 * solve / max(checks, 1):.1f} ms/check",
+        f"query elision: {stats.elide_hits} of "
+        f"{checks} checks answered without SAT "
+        f"(model-reuse={stats.elide_hits_model}, "
+        f"rewrite={stats.elide_hits_rewrite}, "
+        f"subsume={stats.elide_hits_subsume}); "
+        f"cache hits={stats.cache_hits}; "
+        f"sat solves={stats.sat_solves}",
+        f"  word-level rewrite pass:{stats.rewrite_time_s:8.2f} s",
         "",
         "paper: Z3 <10% (C++ interpreter vs C solver).  Here the solver",
         "is Python, so its share is inflated by the implementation",
@@ -89,7 +79,7 @@ def test_fig7_cpu_split(benchmark):
     # Accounting sanity: the categories must cover the run.
     assert solve + blast + stepping <= wall * 1.05
     # The enabling property: incremental checks stay cheap.
-    assert solve / max(solver.checks, 1) < 0.5, "per-check cost exploded"
+    assert solve / max(checks, 1) < 0.5, "per-check cost exploded"
 
 
 def test_fig7_incremental_feasibility_speedup(benchmark):
@@ -113,14 +103,14 @@ def test_fig7_incremental_feasibility_speedup(benchmark):
                       config=config)
         explorer = gen.explorer()
         tests = list(explorer.run())
-        ps = explorer.solver.stats
+        stats = explorer.stats
         return {
             "tests": len(tests),
-            "solve_s": ps.solve_time,
-            "sat_solves": ps.sat_solves,
+            "solve_s": stats.feasibility_solve_time_s,
+            "sat_solves": stats.feasibility_sat_solves,
             "propagations": explorer.solver._sat.stats["propagations"],
-            "levels_reused": explorer.stats.inc_levels_reused,
-            "levels_assumed": explorer.stats.inc_levels_assumed,
+            "levels_reused": stats.inc_levels_reused,
+            "levels_assumed": stats.inc_levels_assumed,
         }
 
     def run_both():

@@ -8,14 +8,14 @@ corpus analogues and assert the coverage *ordering*:
 
     middleblock (100%)  >  up4 (<100%, >=85%)  >  switch (partial)
 
-Each row now runs three times — defaults, query elision off, and term
-interning off — so the report doubles as the acceptance measurement
-for both solver-avoidance layers: the ablation passes reproduce the
-pre-optimization code paths on the same machine, per-row tests and
-coverage must be identical in all three (neither layer may change what
-comes out), and the default pass must finish the campaign faster.
-A separate tracemalloc pass on the first row records allocation peaks
-(tracemalloc distorts timing, so it never wraps a timed row).
+Each row runs twice — defaults and query elision off — so the report
+doubles as the acceptance measurement for the elision layer: the
+ablation pass reproduces the pre-optimization code path on the same
+machine, per-row tests and coverage must be identical in both (elision
+may not change what comes out), and the default pass must finish the
+campaign faster.  A separate tracemalloc pass on the first row records
+its allocation peak (tracemalloc distorts timing, so it never wraps a
+timed row).
 """
 
 import time
@@ -34,8 +34,8 @@ ROWS = [
 ]
 
 
-def _row(name, target_name, cap, *, elide=True, intern=True):
-    config = TestGenConfig(seed=1, max_tests=cap, elide=elide, intern=intern)
+def _row(name, target_name, cap, *, elide=True):
+    config = TestGenConfig(seed=1, max_tests=cap, elide=elide)
     gen = TestGen(load_program(name), target=get_target(target_name),
                   config=config)
     t0 = time.perf_counter()
@@ -68,23 +68,19 @@ def test_tbl4a_large_programs(benchmark):
         out = {
             "on": [_row(*spec) for spec in ROWS],
             "elide_off": [_row(*spec, elide=False) for spec in ROWS],
-            "intern_off": [_row(*spec, intern=False) for spec in ROWS],
         }
         # Memory pass (first row only): tracemalloc halves throughput,
-        # so it gets its own untimed runs.
+        # so it gets its own untimed run.
         _, out["traced_on_mb"] = traced_peak_mb(lambda: _row(*ROWS[0]))
-        _, out["traced_off_mb"] = traced_peak_mb(
-            lambda: _row(*ROWS[0], intern=False))
         return out
 
     rows = once(benchmark, run)
     lines = [
         "| P4 program    | Arch.   | Valid tests | Time (on) | "
-        "Time (-elide) | Time (-intern) | Stmt. cov. | Feas. elided | "
+        "Time (-elide) | Stmt. cov. | Feas. elided | "
         "Blast hits | Peak RSS |"
     ]
-    for r_on, r_noel, r_noint in zip(rows["on"], rows["elide_off"],
-                                     rows["intern_off"]):
+    for r_on, r_noel in zip(rows["on"], rows["elide_off"]):
         cap_note = "" if r_on["name"] != "switch_lite" else " (capped)"
         frac = (100.0 * r_on["feas_elided"] / r_on["feas_checks"]
                 if r_on["feas_checks"] else 0.0)
@@ -93,7 +89,7 @@ def test_tbl4a_large_programs(benchmark):
         lines.append(
             f"| {r_on['name']:13s} | {r_on['arch']:7s} | "
             f"{r_on['tests']:11d} | {r_on['time_s']:8.1f}s | "
-            f"{r_noel['time_s']:12.1f}s | {r_noint['time_s']:13.1f}s | "
+            f"{r_noel['time_s']:12.1f}s | "
             f"{r_on['coverage']:9.1f}% | "
             f"{r_on['feas_elided']:5d}/{r_on['feas_checks']:<5d} "
             f"({frac:4.1f}%) | {r_on['blast_hits']:5d} ({brate:4.1f}%) | "
@@ -101,7 +97,6 @@ def test_tbl4a_large_programs(benchmark):
         )
     wall_on = sum(r["time_s"] for r in rows["on"])
     wall_noel = sum(r["time_s"] for r in rows["elide_off"])
-    wall_noint = sum(r["time_s"] for r in rows["intern_off"])
     feas_checks = sum(r["feas_checks"] for r in rows["on"])
     feas_elided = sum(r["feas_elided"] for r in rows["on"])
     intern_hits = sum(r["intern_hits"] for r in rows["on"])
@@ -117,11 +112,10 @@ def test_tbl4a_large_programs(benchmark):
         f"interning: {intern_hits}/{intern_total} constructions pooled "
         f"({100.0 * intern_hits / intern_total if intern_total else 0.0:.1f}%); "
         f"end-to-end wall {wall_on:.2f}s (defaults) vs "
-        f"{wall_noel:.2f}s (no elide) vs {wall_noint:.2f}s (no intern)"
+        f"{wall_noel:.2f}s (no elide)"
     )
     lines.append(
-        f"tracemalloc peak, {ROWS[0][0]} row: {rows['traced_on_mb']:.1f} MiB "
-        f"(intern on) vs {rows['traced_off_mb']:.1f} MiB (intern off); "
+        f"tracemalloc peak, {ROWS[0][0]} row: {rows['traced_on_mb']:.1f} MiB; "
         f"process peak RSS {peak_rss_mb():.1f} MiB"
     )
     lines.append("")
@@ -170,11 +164,10 @@ def test_tbl4a_large_programs(benchmark):
         "switch_lite must not be exhaustible within the cap"
     )
     assert mb["tests"] > 100
-    # Neither ablation may change what comes out — only how fast.
-    for r_on, r_noel, r_noint in zip(rows["on"], rows["elide_off"],
-                                     rows["intern_off"]):
-        assert r_on["tests"] == r_noel["tests"] == r_noint["tests"]
-        assert r_on["coverage"] == r_noel["coverage"] == r_noint["coverage"]
+    # The ablation may not change what comes out — only how fast.
+    for r_on, r_noel in zip(rows["on"], rows["elide_off"]):
+        assert r_on["tests"] == r_noel["tests"]
+        assert r_on["coverage"] == r_noel["coverage"]
     # The PR-3 acceptance bar: >=40% of incremental feasibility checks
     # elided, and the whole campaign faster than the elide-off baseline.
     assert fraction >= 0.40, (
@@ -183,11 +176,6 @@ def test_tbl4a_large_programs(benchmark):
     assert wall_on < wall_noel, (
         f"elision must pay for itself: {wall_on:.2f}s vs {wall_noel:.2f}s"
     )
-    # The PR-5 acceptance bar: hash-consing + the shared blast cache
-    # beat the intern-off baseline on aggregate wall-clock, with a
-    # live blast cache on every row.
-    assert wall_on < wall_noint, (
-        f"interning must pay for itself: {wall_on:.2f}s vs {wall_noint:.2f}s"
-    )
+    # The shared blast cache is live on every row.
     for r_on in rows["on"]:
         assert r_on["blast_hits"] > 0, f"blast cache dead on {r_on['name']}"

@@ -52,18 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable the solver query-elision pipeline "
                           "(ablation; answers and tests are identical "
                           "either way)")
-    gen.add_argument("--no-intern", action="store_true",
-                     help="disable hash-consed term interning and the "
-                          "shared bit-blast cache (ablation; emitted "
-                          "suites are byte-identical either way)")
     gen.add_argument("--no-incremental", action="store_true",
                      help="solve every feasibility check one-shot "
                           "instead of riding the incremental clause "
                           "database (escape hatch/ablation; emitted "
                           "suites are byte-identical either way)")
-    gen.add_argument("--intern-stats", action="store_true",
-                     help="print intern-pool / blast-cache / COW-state "
-                          "counters to stderr after the run")
     gen.add_argument("--stats-json", default=None, metavar="PATH",
                      help="write the run report (phase times, coverage "
                           "curve, cache hit rates, solver stats) as "
@@ -136,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="replay generated suites through the "
                            "lane-packed batch interpreter "
                            "(--no-batch-replay forces scalar stepping)")
-    fuzz.add_argument("--intern-stats", action="store_true",
-                      help="print campaign-wide intern-pool / "
-                           "blast-cache counters to stderr")
 
     bench = sub.add_parser(
         "bench",
@@ -187,7 +177,6 @@ def cmd_generate(args) -> int:
         coverage_goal=args.coverage_goal,
         jobs=args.jobs,
         elide=not args.no_elide,
-        intern=not args.no_intern,
         incremental=not args.no_incremental,
     )
     oracle = TestGen(program, target=target, config=config)
@@ -211,8 +200,6 @@ def cmd_generate(args) -> int:
         writer.close()
         sys.stdout.write("\n")
     print(oracle.last_run.coverage.report(), file=sys.stderr)
-    if args.intern_stats:
-        _print_intern_stats(oracle.last_run.stats.as_dict())
     if args.stats_json:
         recorder.record_program_run(oracle.last_run,
                                     num_tests=writer.count)
@@ -266,8 +253,6 @@ def cmd_fuzz(args) -> int:
     recorder = Recorder("fuzz", seed=args.seed) if args.stats_json else None
     summary = run_fuzz_campaign(config, on_case=on_case, recorder=recorder)
     print(summary.report())
-    if args.intern_stats:
-        _print_intern_stats(summary.solver_stats())
     if recorder is not None:
         recorder.write(args.stats_json)
         print(f"wrote run report to {args.stats_json}", file=sys.stderr)
@@ -295,26 +280,6 @@ def cmd_bench(args) -> int:
               f"({cc['percent']:.1f}%)")
     print(f"appended trajectory point to {path}")
     return 0
-
-
-def _print_intern_stats(stats: dict) -> None:
-    """Debug view of the hash-consing layers (``--intern-stats``)."""
-    hits = int(stats.get("intern_hits", 0))
-    misses = int(stats.get("intern_misses", 0))
-    total = hits + misses
-    rate = hits / total if total else 0.0
-    print(f"intern pool: {hits} hits / {misses} misses "
-          f"({rate:.1%} hit rate), {int(stats.get('intern_pool_size', 0))} "
-          "live terms", file=sys.stderr)
-    print(f"blast cache: {int(stats.get('blast_cache_hits', 0))} hits / "
-          f"{int(stats.get('blast_cache_misses', 0))} misses, "
-          f"{int(stats.get('blast_clauses_replayed', 0))} clauses replayed, "
-          f"{stats.get('blast_time_saved_s', 0.0):.3f}s saved",
-          file=sys.stderr)
-    print(f"cow state: {int(stats.get('state_clones', 0))} clones, "
-          f"{int(stats.get('path_cond_copies', 0))} path-cond copies, "
-          f"{int(stats.get('frame_cow_copies', 0))} frame copies",
-          file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -57,12 +57,6 @@ class TestGenConfig:
             model reuse, UNSAT subsumption — see ``smt/elide.py``) in
             front of the SAT core.  Elision never changes any answer or
             emitted test, only how many checks reach bit-blasting.
-        intern: hash-cons terms in a process-wide weak pool (see
-            ``smt/terms.py``).  Enables the O(1) identity fast paths,
-            tid-keyed memo tables and the shared bit-blast cache.
-            Interning never changes any emitted test — equality stays
-            structural either way — only how fast terms compare and how
-            much CNF is rebuilt; ``False`` is the ablation baseline.
         incremental: run feasibility pruning on the incremental status
             plane — the pruning solver's assertion levels mirror the
             DFS stack, so learned clauses and most of the SAT trail
@@ -91,7 +85,6 @@ class TestGenConfig:
     concolic_enabled: bool = True
     cache_capacity: int | None = None
     elide: bool = True
-    intern: bool = True
     incremental: bool = True
     batch_replay: bool = True
 

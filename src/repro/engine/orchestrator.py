@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 from ..config import TestGenConfig
 from ..ir.nodes import IrProgram
+from ..smt import RunStats
 from ..symex.coverage import CoverageTracker
-from ..symex.explorer import ExplorationStats, Explorer
+from ..symex.explorer import Explorer
 from ..targets.base import TargetExtension
 from .sharding import merged_test_stream, ordered_entries
 from .worker import run_program, run_shard
@@ -75,7 +76,7 @@ class ProgramRun:
         self.target = target
         self.config = config
         self.coverage = CoverageTracker(program)
-        self.stats = ExplorationStats()
+        self.stats = RunStats()
         self.explorer: Explorer | None = None
 
     def iter_tests(self):
@@ -102,7 +103,7 @@ class ProgramRun:
             config.jobs * SPLIT_FACTOR, SPLIT_MAX_ITERS
         )
         prefixes = [s.choice_path for s in states]
-        self.stats.absorb(splitter.stats.as_dict())
+        self.stats.merge(splitter.stats.as_dict())
         entries = ordered_entries(splitter.event_log, prefixes)
 
         if not prefixes:
@@ -141,7 +142,7 @@ class ProgramRun:
         for entry in entries:
             if entry[0] == "shard":
                 result = futures[entry[1]].result()
-                self.stats.absorb(result["stats"])
+                self.stats.merge(result["stats"])
                 yield from result["blocks"]
             else:
                 yield entry[1], entry[2]
@@ -317,15 +318,13 @@ class Engine:
                 coverage = CoverageTracker(job.program)
                 for test in result["tests"]:
                     coverage.record(test.covered_statements)
-                stats = ExplorationStats()
-                stats.absorb(result["stats"])
                 yield EngineResult(
                     index=job.index,
                     program=job.program.source_name,
                     target=job.target.name,
                     tests=result["tests"],
                     coverage=coverage,
-                    stats=stats,
+                    stats=RunStats.from_dict(result["stats"]),
                     elapsed=time.perf_counter() - t0,
                 )
         finally:

@@ -37,6 +37,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..interp.batch import ReplayStats
+from ..smt import RunStats
 from .corpus import load_corpus, write_corpus_entry
 from .generator import FUZZ_TARGETS, generate_spec
 from .harness import CaseResult, classify_replay, run_spec
@@ -119,19 +120,22 @@ class CampaignSummary:
         return dict(sorted(counts.items()))
 
     def solver_stats(self) -> dict:
-        """Campaign-wide sums of the per-case oracle stats.
+        """Campaign-wide totals of the per-case oracle stats.
 
-        Every numeric field of each case's ``ExplorationStats`` dict is
-        accumulated, so worker-process runs contribute the same way
-        sequential ones do (the per-worker shards were already absorbed
-        into each case's stats by the engine).
+        Each case's run record is merged into one, so worker-process
+        runs contribute the same way sequential ones do (the engine
+        already merged each case's shards); batch-replayed campaigns
+        add their replay counters.
         """
-        totals: dict = {}
-        for case in self.cases:
-            for key, value in case.stats.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                totals[key] = totals.get(key, 0) + value
+        recorded = [case.stats for case in self.cases if case.stats]
+        if not recorded:
+            return {}
+        total = RunStats()
+        for stats in recorded:
+            total.merge(stats)
+        totals = total.as_dict()
+        if self.config.batch_replay:
+            totals.update(self.replay.as_dict())
         return dict(sorted(totals.items()))
 
     def record(self, recorder) -> None:
@@ -182,9 +186,7 @@ class CampaignSummary:
             lines.append(f"  {kind}: {n}")
         stats = self.solver_stats()
         if stats:
-            elided = (stats.get("elide_hits_model", 0)
-                      + stats.get("elide_hits_rewrite", 0)
-                      + stats.get("elide_hits_subsume", 0))
+            elided = RunStats.from_dict(stats).elide_hits
             lines.append(
                 f"  solver: {int(stats.get('solver_checks', 0))} checks, "
                 f"{int(stats.get('sat_solves', 0))} SAT solves, "
@@ -373,9 +375,9 @@ def run_fuzz_campaign(config: FuzzCampaignConfig,
                 except Exception:
                     case.coverage = 0.0
                 # Both the Engine path (EngineResult) and the sequential
-                # path (TestGenResult) carry the run's ExplorationStats;
-                # keep them on the case so per-worker solver behavior
-                # survives capture_errors aggregation.
+                # path (TestGenResult) carry the run record; keep it on
+                # the case so per-worker solver behavior survives
+                # capture_errors aggregation.
                 stats = getattr(result, "stats", None)
                 if stats is not None:
                     case.stats = stats.as_dict()

@@ -61,7 +61,7 @@ class CaseResult:
     num_tests: int = 0
     failed_test_ids: list = field(default_factory=list)
     coverage: float = 0.0
-    # Oracle-phase solver/exploration stats (ExplorationStats.as_dict()).
+    # Oracle-phase solver/exploration stats (RunStats.as_dict()).
     # Populated even for worker-process cases, so campaign reports can
     # aggregate solver behavior instead of just mismatch counts.
     stats: dict = field(default_factory=dict)

@@ -19,6 +19,7 @@ import json
 import time
 from pathlib import Path
 
+from ..smt import RunStats
 from .recorder import Recorder, SCHEMA_VERSION, cache_rates
 from .schema import load_schema, validate
 
@@ -219,17 +220,15 @@ def run_bench(label: str, out_dir, *, seed: int = 1, fuzz_count: int = 12,
 
     rows = []
     phase_times: dict = {}
-    stats_total: dict = {}
+    total = RunStats()
     for name, target_name, cap in rows_spec:
         row, rec = _oracle_row(name, target_name, cap, seed=seed, jobs=jobs)
         rows.append(row)
         for pname, secs in rec.report()["phase_times_s"].items():
             phase_times[pname] = round(
                 phase_times.get(pname, 0.0) + secs, 6)
-        for key, value in rec.stats.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            stats_total[key] = stats_total.get(key, 0) + value
+        total.merge(rec.stats)
+    stats_total = total.as_dict()
 
     corpus = fuzz_corpus if fuzz_corpus is not None \
         else out / f"bench-corpus-{label}"

@@ -3,10 +3,10 @@ coverage feedback loop).
 
 Every ``generate``/``fuzz``/``bench`` run threads a :class:`Recorder`
 through the engine: it captures per-phase wall time, the coverage curve
-(coverage vs. tests emitted), and the elision / intern / blast /
-solve-cache hit rates already counted by ``ExplorationStats`` — then
-serializes everything as one stable JSON document validated against
-``run_report.schema.json``.
+(coverage vs. tests emitted), the run record
+(:class:`repro.smt.RunStats`) and the elision / intern / blast /
+solve-cache hit rates derived from it — then serializes everything as
+one stable JSON document validated against ``run_report.schema.json``.
 
 Two invariants the tests pin:
 
@@ -23,6 +23,7 @@ import json
 import re
 from contextlib import contextmanager
 
+from ..smt import RunStats
 from .schema import load_schema, validate
 
 __all__ = ["Recorder", "cache_rates", "normalized", "SCHEMA_VERSION"]
@@ -53,9 +54,7 @@ def cache_rates(stats: dict) -> dict:
 
     hits = stats.get("cache_hits", 0)
     misses = stats.get("cache_misses", 0)
-    elided = (stats.get("elide_hits_model", 0)
-              + stats.get("elide_hits_rewrite", 0)
-              + stats.get("elide_hits_subsume", 0))
+    elided = RunStats.from_dict(stats).elide_hits
     blast_hits = stats.get("blast_cache_hits", 0)
     blast_total = blast_hits + stats.get("blast_cache_misses", 0)
     intern_hits = stats.get("intern_hits", 0)

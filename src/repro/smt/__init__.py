@@ -8,6 +8,8 @@ Public surface:
   push/pop, assumptions, and model extraction;
 - :class:`repro.smt.cache.SolveCache` — canonical solve cache that
   memoizes check answers and models across overlapping queries;
+- :class:`repro.smt.stats.RunStats` — the run record every solver and
+  the explorer count into;
 - :func:`repro.smt.evaluate.evaluate` — concrete big-step evaluation,
   used by the concolic loop and for cross-checking;
 - :class:`repro.smt.elide.QueryElider` /
@@ -22,15 +24,14 @@ from .cache import SolveCache
 from .elide import QueryElider
 from .evaluate import EvaluationError, all_hold, evaluate, holds
 from .preprocess import PreprocessResult, preprocess_conjuncts
-from .solver import Model, SolveResult, Solver, SolverStats
-from .terms import (clear_intern_pool, intern_stats, interning_enabled,
-                    reset_intern_stats, set_interning)
+from .solver import Model, SolveResult, Solver
+from .stats import RunStats
+from .terms import clear_intern_pool, intern_stats, reset_intern_stats
 
 __all__ = [
-    "terms", "Solver", "Model", "SolverStats", "SolveResult", "SolveCache",
+    "terms", "Solver", "Model", "RunStats", "SolveResult", "SolveCache",
     "evaluate", "holds", "all_hold", "EvaluationError",
     "QueryElider", "PreprocessResult", "preprocess_conjuncts",
     "SharedBlastCache", "shared_blast_cache", "clear_shared_blast_cache",
-    "set_interning", "interning_enabled", "intern_stats",
-    "reset_intern_stats", "clear_intern_pool",
+    "intern_stats", "reset_intern_stats", "clear_intern_pool",
 ]

@@ -124,11 +124,13 @@ class SharedBlastCache:
         return child
 
     def blast_assert(self, node: _TrieNode, term: Term,
-                     blaster: "BitBlaster") -> int:
+                     blaster: "BitBlaster", stats) -> int:
         """Blast boolean ``term`` into ``blaster``'s solver, replaying
         the recording at ``node`` if present (recording it otherwise).
         Returns the root literal.  Requires that the blaster's solver
-        reached this point through this node's exact prefix."""
+        reached this point through this node's exact prefix.  The hit
+        or miss is also counted in ``stats``, the asserting solver's
+        :class:`~repro.smt.stats.RunStats`."""
         builder = blaster.b
         delta = node.delta
         if delta is not None:
@@ -144,11 +146,15 @@ class SharedBlastCache:
             blaster._bool_cache.update(delta.bool_items)
             blaster._bv_cache.update(delta.bv_items)
             blaster._var_bits.update(delta.varbit_items)
+            saved = max(0.0, delta.build_time - (time.perf_counter() - t0))
             self.clauses_replayed += delta.n_clauses
-            self.time_saved_s += max(
-                0.0, delta.build_time - (time.perf_counter() - t0))
+            self.time_saved_s += saved
+            stats.blast_cache_hits += 1
+            stats.blast_clauses_replayed += delta.n_clauses
+            stats.blast_time_saved_s += saved
             return delta.root_lit
         self.misses += 1
+        stats.blast_cache_misses += 1
         g0 = len(builder._gate_cache)
         b0 = len(blaster._bool_cache)
         v0 = len(blaster._bv_cache)

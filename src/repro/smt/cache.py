@@ -34,10 +34,12 @@ and — more importantly — across processes:
 
 from __future__ import annotations
 
+import time
 import weakref
 from collections import OrderedDict
 
-from .terms import Term, free_vars, interning_enabled
+from .stats import RunStats
+from .terms import Term, free_vars
 
 __all__ = ["SolveCache", "CacheEntry", "CacheKey", "canonical_string",
            "alpha_template"]
@@ -189,21 +191,21 @@ class SolveCache:
     keeps the canonical (pure, order-independent) solving discipline —
     useful for measuring cache effectiveness and for deterministic
     parallel runs that cannot afford the memory.
+
+    Lookups and miss solves count into ``stats``, the run record (a
+    fresh one unless the caller shares one): ``cache_hits``,
+    ``cache_misses`` and ``cache_time_saved_s`` on lookup,
+    ``cache_solves`` and ``cache_solve_time_s`` on solve, and — through
+    the sub-solver — the shared blast cache's ``blast_cache_*``.
     """
 
-    def __init__(self, capacity: int | None = None):
+    def __init__(self, capacity: int | None = None,
+                 stats: RunStats | None = None):
         self.capacity = capacity
+        self.stats = stats if stats is not None else RunStats()
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.elided_stores = 0
-        self.time_saved = 0.0
-        # Shared-blast-cache effect across this cache's miss solves.
-        self.blast_hits = 0
-        self.blast_misses = 0
-        self.blast_clauses_replayed = 0
-        self.blast_time_saved = 0.0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -236,19 +238,21 @@ class SolveCache:
         The incremental feasibility plane peeks before riding its own
         SAT database — a canonical answer for the same constraint set
         (typically from a sibling path's finalization) settles the
-        status for free.  Peeks stay invisible to the cache's own
-        counters so hit-rate reports keep describing canonical checks.
+        status for free.  Peeks stay out of the hit/miss counters so
+        hit-rate reports keep describing canonical checks (the explorer
+        counts a useful peek as a ``feasibility_cache_hits``).
         """
         return self._entries.get(key)
 
     def lookup(self, key: CacheKey) -> CacheEntry | None:
         entry = self._entries.get(key)
+        stats = self.stats
         if entry is None:
-            self.misses += 1
+            stats.cache_misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
-        self.time_saved += entry.solve_time
+        stats.cache_hits += 1
+        stats.cache_time_saved_s += entry.solve_time
         return entry
 
     def store(self, key: CacheKey, entry: CacheEntry) -> None:
@@ -279,24 +283,19 @@ class SolveCache:
 
         Uses a fresh solver and asserts terms in key order, so the
         answer (including the model, stored by variable index) is a
-        pure function of the key.  When interning is on, the fresh
-        solver blasts through the process-wide shared blast cache:
-        replayed CNF is bit-identical to cold blasting (see
-        smt/bitblast.py), so warm and cold solves return the same
-        entry — only faster.
+        pure function of the key.  The fresh solver blasts through the
+        process-wide shared blast cache: replayed CNF is bit-identical
+        to cold blasting (see smt/bitblast.py), so warm and cold solves
+        return the same entry — only faster.
         """
         from .bitblast import shared_blast_cache
         from .solver import Solver
 
-        share = shared_blast_cache() if interning_enabled() else None
-        sub = Solver(blast_share=share)
+        t0 = time.perf_counter()
+        sub = Solver(blast_share=shared_blast_cache(), stats=self.stats)
         for t in key:
             sub.add(t)
         status = sub.check()
-        self.blast_hits += sub.stats.blast_cache_hits
-        self.blast_misses += sub.stats.blast_cache_misses
-        self.blast_clauses_replayed += sub.stats.blast_clauses_replayed
-        self.blast_time_saved += sub.stats.blast_time_saved_s
         values = None
         if status == "sat":
             variables: set[Term] = set()
@@ -304,21 +303,10 @@ class SolveCache:
                 variables |= free_vars(t)
             model = sub.model(variables)
             values = tuple(model[v] for v in key.var_order)
-        return CacheEntry(status, values, sub.stats.total_time)
+        took = time.perf_counter() - t0
+        self.stats.cache_solves += 1
+        self.stats.cache_solve_time_s += took
+        return CacheEntry(status, values, took)
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def stats_dict(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "elided_stores": self.elided_stores,
-            "time_saved_s": self.time_saved,
-            "blast_hits": self.blast_hits,
-            "blast_misses": self.blast_misses,
-            "blast_clauses_replayed": self.blast_clauses_replayed,
-            "blast_time_saved_s": self.blast_time_saved,
-        }

@@ -27,10 +27,11 @@ cache-backed solver) therefore run with ``sat_ok=False`` and elide only
 UNSAT answers; full elision is reserved for the incremental
 feasibility-pruning solver, where only the status is ever consumed.
 
-The elider mutates the owning solver's :class:`SolverStats` directly
-(``elide_hits_model`` / ``elide_hits_rewrite`` / ``elide_hits_subsume``
-/ ``elide_misses``, ``rewrite_time_s``, and eviction counts), so the
-counters aggregate through the existing stats plumbing unchanged.
+The elider counts into the owning solver's run record
+(:class:`~repro.smt.stats.RunStats`: ``elide_hits_model`` /
+``elide_hits_rewrite`` / ``elide_hits_subsume`` / ``elide_misses``,
+``rewrite_time_s``, and eviction counts); both of an explorer's
+eliders share that record.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ DEFAULT_UNSAT = 64
 class QueryElider:
     """Answer solver checks from cached knowledge when sound.
 
-    ``stats`` is the owning solver's :class:`~repro.smt.solver.\
-SolverStats`; ``max_models`` / ``max_unsat`` bound the two caches
+    ``stats`` is the owning solver's :class:`~repro.smt.stats.\
+RunStats`; ``max_models`` / ``max_unsat`` bound the two caches
     (0 disables a layer); ``sat_ok=False`` restricts the elider to
     UNSAT answers (see module docstring).
     """

@@ -126,7 +126,7 @@ def _evaluate_dag(root: Term, assignment, cache, strict: bool):
     Each node is visited at most twice: once to push its uncached
     children, once (when they have all resolved) to compute its own
     value.  The memo is keyed by intern id (:attr:`Term.tid`) — an O(1)
-    int key that never collides, even with interning disabled.
+    int key that never collides, even across pool generations.
     ``strict`` controls unbound-variable behavior: raise (reference
     semantics) versus default to zero/False (witness completion).
     """

@@ -338,7 +338,7 @@ def preprocess_conjuncts(conjuncts) -> PreprocessResult:
                     bindings[var] = const
                     changed = True
                     continue
-                if prev != const:  # structural: exact under --no-intern too
+                if prev != const:  # structural: exact across pool generations
                     return PreprocessResult("unsat", None, [], bindings)
                 changed = True
                 continue

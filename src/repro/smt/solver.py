@@ -8,7 +8,8 @@ selector (and permanently disables it), so the bit-blast cache and all
 learned clauses survive across path exploration — mirroring the paper's
 use of Z3 "configured with incremental solving" (§6).
 
-The facade also keeps wall-clock statistics so the Fig. 7 benchmark can
+Every solver counts into a :class:`repro.smt.stats.RunStats` record
+(its own, unless the caller shares one), so the Fig. 7 benchmark can
 report the fraction of CPU time spent in the solver.
 
 Passing a :class:`repro.smt.cache.SolveCache` switches the solver into
@@ -27,102 +28,14 @@ from .bitblast import BitBlaster
 from .cnf import CnfBuilder
 from .elide import QueryElider
 from .sat import SAT, UNSAT, SatSolver
+from .stats import RunStats
 from .terms import Term, bool_const, free_vars
 
-__all__ = ["Solver", "Model", "SolverStats", "SolveResult"]
-
-
-class SolverStats:
-    """Aggregate statistics across all checks issued to one Solver."""
-
-    def __init__(self):
-        self.checks = 0
-        self.sat_answers = 0
-        self.unsat_answers = 0
-        self.solve_time = 0.0
-        self.blast_time = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_time_saved = 0.0
-        # Query elision (see smt/elide.py).  ``sat_solves`` counts the
-        # checks that actually reached blast+CDCL; checks minus
-        # cache_hits minus the three elide_hits_* buckets equals it.
-        self.sat_solves = 0
-        self.elide_hits_model = 0
-        self.elide_hits_rewrite = 0
-        self.elide_hits_subsume = 0
-        self.elide_misses = 0
-        self.rewrite_time_s = 0.0
-        self.elide_model_evictions = 0
-        self.elide_unsat_evictions = 0
-        # Shared bit-blast cache (see smt/bitblast.py): roots answered
-        # by replaying a recorded op stream instead of walking the DAG.
-        self.blast_cache_hits = 0
-        self.blast_cache_misses = 0
-        self.blast_clauses_replayed = 0
-        self.blast_time_saved_s = 0.0
-        # Incremental status plane (incremental=True facades): stack
-        # traffic, trail reuse, and clause-database hygiene, mirrored
-        # from the underlying SatSolver after each check.
-        self.inc_solves = 0
-        self.inc_levels_pushed = 0
-        self.inc_levels_popped = 0
-        self.inc_levels_reused = 0
-        self.inc_levels_assumed = 0
-        self.inc_learned_retained = 0
-        self.inc_learned_deleted = 0
-        self.inc_clauses_gced = 0
-        self.inc_db_reductions = 0
-        self.inc_heap_rebuilds = 0
-        self.inc_selectors_retired = 0
-
-    @property
-    def total_time(self) -> float:
-        return self.solve_time + self.blast_time
-
-    @property
-    def elide_hits(self) -> int:
-        return (self.elide_hits_model + self.elide_hits_rewrite
-                + self.elide_hits_subsume)
-
-    def as_dict(self) -> dict:
-        return {
-            "checks": self.checks,
-            "sat": self.sat_answers,
-            "unsat": self.unsat_answers,
-            "solve_time_s": self.solve_time,
-            "blast_time_s": self.blast_time,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_time_saved_s": self.cache_time_saved,
-            "sat_solves": self.sat_solves,
-            "elide_hits_model": self.elide_hits_model,
-            "elide_hits_rewrite": self.elide_hits_rewrite,
-            "elide_hits_subsume": self.elide_hits_subsume,
-            "elide_misses": self.elide_misses,
-            "rewrite_time_s": self.rewrite_time_s,
-            "elide_model_evictions": self.elide_model_evictions,
-            "elide_unsat_evictions": self.elide_unsat_evictions,
-            "blast_cache_hits": self.blast_cache_hits,
-            "blast_cache_misses": self.blast_cache_misses,
-            "blast_clauses_replayed": self.blast_clauses_replayed,
-            "blast_time_saved_s": self.blast_time_saved_s,
-            "inc_solves": self.inc_solves,
-            "inc_levels_pushed": self.inc_levels_pushed,
-            "inc_levels_popped": self.inc_levels_popped,
-            "inc_levels_reused": self.inc_levels_reused,
-            "inc_levels_assumed": self.inc_levels_assumed,
-            "inc_learned_retained": self.inc_learned_retained,
-            "inc_learned_deleted": self.inc_learned_deleted,
-            "inc_clauses_gced": self.inc_clauses_gced,
-            "inc_db_reductions": self.inc_db_reductions,
-            "inc_heap_rebuilds": self.inc_heap_rebuilds,
-            "inc_selectors_retired": self.inc_selectors_retired,
-        }
+__all__ = ["Solver", "Model", "SolveResult"]
 
 
 class SolveResult(str):
-    """The answer to one ``check``: a status plus structured metadata.
+    """The answer to one ``check``: a status plus the model.
 
     A :class:`SolveResult` *is* its status string (``"sat"`` or
     ``"unsat"``), so every existing comparison — ``res == "sat"``,
@@ -132,16 +45,13 @@ class SolveResult(str):
     - ``status``: the plain status string.
     - ``model``: the :class:`Model` for ``check_and_model`` SAT
       answers; None from plain ``check`` (extract via ``Solver.model``).
-    - ``stats``: the owning solver's :class:`SolverStats` at answer
-      time.
     """
 
-    __slots__ = ("model", "stats")
+    __slots__ = ("model",)
 
-    def __new__(cls, status: str, model=None, stats=None):
+    def __new__(cls, status: str, model=None):
         self = super().__new__(cls, status)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "stats", stats)
         return self
 
     @property
@@ -155,8 +65,7 @@ class SolveResult(str):
         return f"SolveResult({str(self)!r}, model={self.model!r})"
 
     def __reduce__(self):
-        # Stats hold live solver references; they don't cross pickles.
-        return (SolveResult, (str(self), self.model, None))
+        return (SolveResult, (str(self), self.model))
 
 
 class Model:
@@ -189,7 +98,8 @@ class Solver:
     """Incremental QF_BV solver with push/pop and model extraction."""
 
     def __init__(self, cache=None, elide: bool = False,
-                 blast_share=None, incremental: bool = False):
+                 blast_share=None, incremental: bool = False,
+                 stats: RunStats | None = None):
         self._sat = SatSolver()
         self._builder = CnfBuilder(self._sat)
         self._blaster = BitBlaster(self._builder)
@@ -202,8 +112,11 @@ class Solver:
         # callers that consume statuses (the explorer's feasibility
         # plane) and it is ignored in canonical (cache) mode.
         self.incremental = bool(incremental) and cache is None
+        # The run record this solver counts into (see smt/stats.py).
+        self.stats = stats if stats is not None else RunStats()
         if self.incremental:
             self._sat.keep_trail_on_add = True
+            self.stats.watch(self._database_totals)
         # Shared blast cache (smt/bitblast.py): sound only while this
         # solver's op stream is a pure function of the base assertion
         # sequence, so the cursor detaches on push() or extras blasting.
@@ -218,7 +131,6 @@ class Solver:
         # SolveCache; the incremental SAT machinery stays idle.
         self.cache = cache
         self._cached_model: Model | None = None
-        self.stats = SolverStats()
         # Query elision (smt/elide.py).  In canonical mode only UNSAT
         # answers may be elided (sat_ok=False): an elided SAT model is
         # whatever witness was cached, not the history-independent model
@@ -272,7 +184,6 @@ class Solver:
             else:
                 self._base_assertions.append(term)
             return
-        t0 = time.perf_counter()
         share = self._share
         node = None
         if share is not None and self._share_node is not None:
@@ -282,20 +193,9 @@ class Solver:
                 node = share.descend(self._share_node, term)
                 self._share_node = node
         if node is not None:
-            hits0 = share.hits
-            replayed0 = share.clauses_replayed
-            saved0 = share.time_saved_s
-            lit = share.blast_assert(node, term, self._blaster)
-            stats = self.stats
-            if share.hits > hits0:
-                stats.blast_cache_hits += 1
-            else:
-                stats.blast_cache_misses += 1
-            stats.blast_clauses_replayed += share.clauses_replayed - replayed0
-            stats.blast_time_saved_s += share.time_saved_s - saved0
+            lit = share.blast_assert(node, term, self._blaster, self.stats)
         else:
             lit = self._blaster.blast_bool(term)
-        self.stats.blast_time += time.perf_counter() - t0
         if self._levels:
             selector, terms = self._levels[-1]
             terms.append(term)
@@ -337,49 +237,24 @@ class Solver:
             status, witness = self.elider.try_answer(conjuncts)
             if status is not None:
                 self._last_assumptions = list(extra)
-                self.stats.checks += 1
                 if status == "sat":
-                    self.stats.sat_answers += 1
                     self._elided_model = witness
-                else:
-                    self.stats.unsat_answers += 1
-                return SolveResult(status, stats=self.stats)
+                return SolveResult(status)
         assumptions = [sel for sel, _terms in self._levels]
-        t0 = time.perf_counter()
         for term in extra:
-            lit = self._blaster.blast_bool(term)
-            assumptions.append(lit)
-        self.stats.blast_time += time.perf_counter() - t0
+            assumptions.append(self._blaster.blast_bool(term))
         self._last_assumptions = list(extra)
-
-        t0 = time.perf_counter()
         res = self._sat.solve(assumptions, reuse_trail=self.incremental)
-        self.stats.solve_time += time.perf_counter() - t0
-        if self.incremental:
-            self._sync_incremental_stats()
-        self.stats.checks += 1
-        self.stats.sat_solves += 1
-        if res == SAT:
-            self.stats.sat_answers += 1
-        else:
-            self.stats.unsat_answers += 1
-        if self.elider is not None:
-            # Feed the real answer back so future sibling queries elide.
-            if res == SAT:
-                self.elider.note_model(self.model().as_dict())
-            else:
-                self.elider.note_unsat(conjuncts)
-        return SolveResult("sat" if res == SAT else "unsat", stats=self.stats)
+        self._note_answer(res, conjuncts)
+        return SolveResult("sat" if res == SAT else "unsat")
 
     def try_elide_path(self, conjuncts: list[Term]) -> "SolveResult | None":
         """Elision-only attempt at a conjunct-list check (no blasting).
 
-        The incremental status plane consults the elider *before*
-        syncing its assertion stack, so conjuncts of elided checks are
-        never blasted — matching the one-shot plane, where elision
-        short-circuits ahead of the extras blast.  Returns None on an
-        elider miss (no check is recorded; the caller follows up with
-        :meth:`check_path` or answers from elsewhere).
+        The feasibility plane consults the elider *before* syncing its
+        assertion stack, so conjuncts of elided checks are never
+        blasted.  Returns None on an elider miss (the caller follows up
+        with :meth:`check_path` or answers from elsewhere).
         """
         if self.elider is None:
             return None
@@ -388,86 +263,87 @@ class Solver:
             return None
         self._elided_model = witness if status == "sat" else None
         self._last_assumptions = []
-        self.stats.checks += 1
-        if status == "sat":
-            self.stats.sat_answers += 1
-        else:
-            self.stats.unsat_answers += 1
-        return SolveResult(status, stats=self.stats)
+        return SolveResult(status)
 
     def check_path(self, conjuncts: list[Term]) -> "SolveResult":
-        """Incremental-plane check of an explicit conjunct list.
+        """Feasibility-plane check of an explicit conjunct list.
 
-        Syncs the assertion stack to ``conjuncts`` — pop the stale
-        suffix (retiring those selectors), push one level per new
-        conjunct — and solves under the active selectors, reusing the
-        SAT trail prefix shared with the previous check.  Callers that
-        want elision must try :meth:`try_elide_path` first; this method
-        always reaches the SAT core.
+        An incremental solver syncs its assertion stack to
+        ``conjuncts`` — pop the stale suffix (retiring those
+        selectors), push one level per new conjunct — and solves under
+        the active selectors, reusing the SAT trail prefix shared with
+        the previous check.  A one-shot solver blasts ``conjuncts`` as
+        one-shot assumptions.  Callers that want elision must try
+        :meth:`try_elide_path` first; this method always reaches the
+        SAT core, and counts the solve under ``feasibility_*``.
         """
-        if not self.incremental:
-            raise RuntimeError("check_path requires an incremental solver")
+        stats = self.stats
         self._share_node = None
         self._elided_model = None
-        common = 0
-        for (_sel, terms), want in zip(self._levels, conjuncts):
-            if len(terms) == 1 and (terms[0] is want or terms[0] == want):
-                common += 1
-            else:
-                break
-        if len(self._levels) > common:
-            self.pop(len(self._levels) - common)
-        for term in conjuncts[common:]:
-            self.push()
-            self.add(term)
-        assumptions = [sel for sel, _terms in self._levels]
-        self._last_assumptions = []
         t0 = time.perf_counter()
-        res = self._sat.solve(assumptions, reuse_trail=True)
-        self.stats.solve_time += time.perf_counter() - t0
-        self._sync_incremental_stats()
-        self.stats.checks += 1
-        self.stats.sat_solves += 1
-        if res == SAT:
-            self.stats.sat_answers += 1
+        if self.incremental:
+            common = 0
+            for (_sel, terms), want in zip(self._levels, conjuncts):
+                if len(terms) == 1 and (terms[0] is want or terms[0] == want):
+                    common += 1
+                else:
+                    break
+            if len(self._levels) > common:
+                self.pop(len(self._levels) - common)
+            for term in conjuncts[common:]:
+                self.push()
+                self.add(term)
+            self._last_assumptions = []
+            assumptions = [sel for sel, _terms in self._levels]
         else:
-            self.stats.unsat_answers += 1
-        if self.elider is not None:
-            if res == SAT:
-                self.elider.note_model(self.model().as_dict())
-            else:
-                self.elider.note_unsat(conjuncts)
-        return SolveResult("sat" if res == SAT else "unsat", stats=self.stats)
+            self._last_assumptions = list(conjuncts)
+            assumptions = [sel for sel, _terms in self._levels]
+            for term in conjuncts:
+                assumptions.append(self._blaster.blast_bool(term))
+            conjuncts = self.assertions() + self._last_assumptions
+        t1 = time.perf_counter()
+        res = self._sat.solve(assumptions, reuse_trail=self.incremental)
+        stats.blast_time_s += t1 - t0
+        stats.feasibility_solve_time_s += time.perf_counter() - t1
+        stats.feasibility_sat_solves += 1
+        if self.incremental:
+            stats.inc_solves += 1
+        self._note_answer(res, conjuncts)
+        return SolveResult("sat" if res == SAT else "unsat")
 
-    def _sync_incremental_stats(self) -> None:
-        """Mirror the SatSolver's incremental counters (running totals)
-        into this facade's stats after a native solve."""
+    def _note_answer(self, res, conjuncts) -> None:
+        """Feed a real answer back so future sibling queries elide."""
+        if self.elider is None:
+            return
+        if res == SAT:
+            self.elider.note_model(self.model().as_dict())
+        else:
+            self.elider.note_unsat(conjuncts)
+
+    def _database_totals(self) -> dict:
+        """The incremental SAT database's running totals, read by the
+        run record (a watched reader, see smt/stats.py)."""
         sat_stats = self._sat.stats
-        st = self.stats
-        st.inc_solves += 1
-        st.inc_levels_reused = sat_stats["levels_reused"]
-        st.inc_levels_assumed = sat_stats["levels_assumed"]
-        st.inc_clauses_gced = sat_stats["clauses_gced"]
-        st.inc_learned_deleted = sat_stats["learned_deleted"]
-        st.inc_db_reductions = sat_stats["db_reductions"]
-        st.inc_heap_rebuilds = sat_stats["heap_rebuilds"]
-        st.inc_selectors_retired = sat_stats["selectors_retired"]
-        st.inc_learned_retained = len(self._sat._learned)
+        return {
+            "inc_levels_reused": sat_stats["levels_reused"],
+            "inc_levels_assumed": sat_stats["levels_assumed"],
+            "inc_clauses_gced": sat_stats["clauses_gced"],
+            "inc_learned_deleted": sat_stats["learned_deleted"],
+            "inc_db_reductions": sat_stats["db_reductions"],
+            "inc_heap_rebuilds": sat_stats["heap_rebuilds"],
+            "inc_selectors_retired": sat_stats["selectors_retired"],
+            "inc_learned_retained": len(self._sat._learned),
+        }
 
     def _check_canonical(self, extra: tuple[Term, ...]) -> "SolveResult":
-        """Canonical-mode check: answer from the SolveCache."""
+        """Canonical-mode check: answer from the SolveCache, which
+        counts the hit, miss or solve in its run record."""
         cache = self.cache
         self._last_assumptions = list(extra)
         self._elided_model = None
         key = cache.key_for(self.assertions() + list(extra))
         entry = cache.lookup(key)
-        self.stats.checks += 1
-        if entry is not None:
-            self.stats.cache_hits += 1
-            self.stats.cache_time_saved += entry.solve_time
-        else:
-            self.stats.cache_misses += 1
-            entry = None
+        if entry is None:
             if self.elider is not None:
                 # UNSAT-only elision (sat_ok=False): an "unsat" verdict
                 # is answer-identical to what a canonical solve would
@@ -476,22 +352,17 @@ class Solver:
                 if status == "unsat":
                     entry = cache.store_elided(key, "unsat")
             if entry is None:
-                t0 = time.perf_counter()
                 entry = cache.solve(key)
-                self.stats.solve_time += time.perf_counter() - t0
-                self.stats.sat_solves += 1
                 cache.store(key, entry)
                 if self.elider is not None and entry.status == "unsat":
                     self.elider.note_unsat(key.terms)
         if entry.status == "sat":
-            self.stats.sat_answers += 1
             # Rebind the index-keyed cached model to this query's own
             # variable terms (a hit may come from a renamed twin set).
             self._cached_model = Model(entry.model_values(key))
         else:
-            self.stats.unsat_answers += 1
             self._cached_model = None
-        return SolveResult(entry.status, stats=self.stats)
+        return SolveResult(entry.status)
 
     def model(self, variables=None) -> Model:
         """Extract a model after a "sat" answer.
@@ -552,10 +423,10 @@ class Solver:
         """
         status = self.check(*extra)
         if status != "sat":
-            return SolveResult(str(status), model=None, stats=self.stats)
+            return SolveResult(str(status))
         # NOTE: when extra assumptions were used the SAT trail already
         # reflects them at the moment of model extraction.
-        return SolveResult(str(status), model=self.model(), stats=self.stats)
+        return SolveResult(str(status), model=self.model())
 
 
 def quick_check(terms: list[Term]) -> tuple[str, Model | None]:

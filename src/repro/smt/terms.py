@@ -5,19 +5,19 @@ available in this environment, so we implement the fragment P4Testgen
 actually needs: quantifier-free fixed-width bitvectors plus booleans.
 
 Terms are immutable and hash-consed through a per-process **weak**
-intern pool: structurally identical terms built while interning is
-enabled are the same Python object, which makes equality checks O(1),
-lets ``substitute``/``evaluate``/``preprocess`` memoize by the stored
-intern id (:attr:`Term.tid`), and lets the bit-blaster cache per-term
-results.  The pool holds only weak references, so terms die with their
-last external reference instead of accumulating across ``Engine`` runs.
+intern pool: structurally identical terms built in one pool generation
+are the same Python object, which makes equality checks O(1), lets
+``substitute``/``evaluate``/``preprocess`` memoize by the stored intern
+id (:attr:`Term.tid`), and lets the bit-blaster cache per-term results.
+The pool holds only weak references, so terms die with their last
+external reference instead of accumulating across ``Engine`` runs.
 
-Interning can be disabled (:func:`set_interning`, the ``--no-intern``
-ablation).  Correctness must not depend on the switch: ``__hash__`` is
-always the precomputed *structural* hash and ``__eq__`` falls back to
-an iterative structural walk whenever the O(1) shortcuts don't apply,
-so term-keyed sets/dicts behave identically in both modes and emitted
-test suites stay byte-for-byte the same.
+``__hash__`` is the precomputed *structural* hash (emitted suites
+depend on term-keyed set/dict order, which must not depend on object
+identity), and ``__eq__`` falls back to an iterative structural walk
+whenever the O(1) shortcuts don't apply — terms that survive
+:func:`clear_intern_pool` still compare equal to their re-interned
+twins.
 
 Smart constructors perform algebraic simplification (constant folding,
 identities) unless the module-level switch :data:`SIMPLIFY` is disabled
@@ -36,8 +36,6 @@ __all__ = [
     "SIMPLIFY",
     "set_simplify",
     "simplification_enabled",
-    "set_interning",
-    "interning_enabled",
     "mk_term",
     "intern_stats",
     "reset_intern_stats",
@@ -90,7 +88,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 SIMPLIFY = True
-INTERNING = True
 
 
 def set_simplify(enabled: bool) -> None:
@@ -101,21 +98,6 @@ def set_simplify(enabled: bool) -> None:
 
 def simplification_enabled() -> bool:
     return SIMPLIFY
-
-
-def set_interning(enabled: bool) -> None:
-    """Enable or disable hash-consing through the weak intern pool.
-
-    Turning interning off is an ablation: terms become plain objects
-    with structural equality.  Answers, models, and emitted suites are
-    identical either way; only allocation/equality costs change.
-    """
-    global INTERNING
-    INTERNING = bool(enabled)
-
-
-def interning_enabled() -> bool:
-    return INTERNING
 
 
 # --------------------------------------------------------------------------
@@ -160,13 +142,13 @@ class Term:
         self.args = args
         self.width = width
         self.payload = payload
-        # Structural hash, not the intern id: hashes must agree between
-        # the interning-on and interning-off modes so that set/dict
-        # iteration orders — and therefore emitted suites — match.
+        # Structural hash, not the intern id: set/dict iteration orders
+        # — and therefore emitted suites — must not depend on which
+        # object (or pool generation) a term happens to be.
         self._hash = hash((op, args, width, payload))
         _NEXT_TID += 1
         self.tid = _NEXT_TID
-        self._gen = 0  # 0 = not interned; else the pool generation
+        self._gen = 0  # 0 = built outside the pool; else its generation
 
     def __hash__(self) -> int:
         return self._hash
@@ -226,10 +208,10 @@ BvTerm = Term
 
 
 def _structurally_equal(a: Term, b: Term) -> bool:
-    """Iterative structural equality (the interning-off fallback).
+    """Iterative structural equality (across pool generations).
 
-    With interning on, two distinct live objects from the same pool
-    generation cannot be structurally equal, so the walk answers each
+    Two distinct live objects from the same pool generation cannot be
+    structurally equal, so the walk answers each
     pair in O(1) via the generation shortcut.
     """
     stack = [(a, b)]
@@ -249,22 +231,20 @@ def _structurally_equal(a: Term, b: Term) -> bool:
 
 def _mk(op: str, args: tuple, width: int, payload=None) -> Term:
     global _INTERN_HITS, _INTERN_MISSES
-    if INTERNING:
-        key = (op, args, width, payload)
-        t = _POOL.get(key)
-        if t is not None:
-            _INTERN_HITS += 1
-            return t
-        _INTERN_MISSES += 1
-        t = Term(op, args, width, payload)
-        t._gen = _POOL_GEN
-        _POOL[key] = t
+    key = (op, args, width, payload)
+    t = _POOL.get(key)
+    if t is not None:
+        _INTERN_HITS += 1
         return t
-    return Term(op, args, width, payload)
+    _INTERN_MISSES += 1
+    t = Term(op, args, width, payload)
+    t._gen = _POOL_GEN
+    _POOL[key] = t
+    return t
 
 
 #: Public constructor-level entry point (the raw node maker behind the
-#: smart constructors).  Interns when interning is enabled.
+#: smart constructors); always interns.
 mk_term = _mk
 
 

@@ -28,7 +28,7 @@ import random
 import time
 
 from ..config import TestGenConfig
-from ..smt import SolveCache, Solver, all_hold, evaluate, terms as T
+from ..smt import RunStats, SolveCache, Solver, all_hold, evaluate, terms as T
 from ..smt.preprocess import var_domain
 from ..testback.spec import (
     AbstractTestCase,
@@ -51,84 +51,8 @@ from .state import (
 from .stepper import step
 from .value import MintScope
 
-__all__ = ["Explorer", "ExplorationStats", "IterationRecord",
-           "ModelCertificateError", "PathEvent"]
-
-
-class ExplorationStats:
-    def __init__(self):
-        self.steps = 0
-        self.paths_finished = 0
-        self.paths_pruned = 0
-        self.paths_infeasible = 0
-        self.tests_emitted = 0
-        self.tests_blocked = 0
-        self.concolic_failures = 0
-        self.step_time = 0.0
-        self.finalize_time = 0.0
-        # Wall time inside the solver substrate (both solvers; the
-        # canonical cache's miss solves land in the model solver's
-        # solve_time).  The Fig 7 CPU split in bench points reads these.
-        self.solve_time_s = 0.0
-        self.blast_time_s = 0.0
-        self.solver_checks = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_time_saved_s = 0.0
-        # Query elision (both solvers combined; see smt/elide.py).
-        self.sat_solves = 0
-        self.elide_hits_model = 0
-        self.elide_hits_rewrite = 0
-        self.elide_hits_subsume = 0
-        self.elide_misses = 0
-        self.rewrite_time_s = 0.0
-        self.elide_model_evictions = 0
-        self.elide_unsat_evictions = 0
-        # Pruning-solver-only view, for the "fraction of incremental
-        # feasibility checks answered without a SAT solve" headline.
-        self.feasibility_checks = 0
-        self.feasibility_elided = 0
-        # Incremental status plane (smt/solver.py incremental=True):
-        # feasibility checks settled by a canonical-cache peek, DFS
-        # stack traffic mirrored into solver levels, trail reuse, and
-        # the clause-database hygiene the long-lived solver needs.
-        self.feasibility_cache_hits = 0
-        self.inc_solves = 0
-        self.inc_levels_pushed = 0
-        self.inc_levels_popped = 0
-        self.inc_levels_reused = 0
-        self.inc_levels_assumed = 0
-        self.inc_learned_retained = 0
-        self.inc_learned_deleted = 0
-        self.inc_clauses_gced = 0
-        self.inc_db_reductions = 0
-        self.inc_heap_rebuilds = 0
-        self.inc_selectors_retired = 0
-        # Hash-consing (smt/terms.py): pool activity attributable to
-        # this run (process-global counters, delta'd per explorer).
-        self.intern_hits = 0
-        self.intern_misses = 0
-        self.intern_pool_size = 0
-        # Shared bit-blast cache (smt/bitblast.py), as seen by this
-        # run's canonical cache-miss solves.
-        self.blast_cache_hits = 0
-        self.blast_cache_misses = 0
-        self.blast_clauses_replayed = 0
-        self.blast_time_saved_s = 0.0
-        # Copy-on-write state (symex/state.py): clone() is O(1) iff
-        # path_cond_copies stays zero while state_clones grows.
-        self.state_clones = 0
-        self.path_cond_copies = 0
-        self.frame_cow_copies = 0
-
-    def as_dict(self):
-        return dict(self.__dict__)
-
-    def absorb(self, other: dict) -> None:
-        """Accumulate another run's stats (worker shards)."""
-        for key, value in other.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                setattr(self, key, getattr(self, key, 0) + value)
+__all__ = ["Explorer", "IterationRecord", "ModelCertificateError",
+           "PathEvent"]
 
 
 class PathEvent:
@@ -154,6 +78,24 @@ class IterationRecord:
     def __init__(self, iter_id: int):
         self.iter_id = iter_id
         self.events: list[PathEvent] = []
+
+
+def _process_counters():
+    """A run-record reader for the process-global intern-pool and
+    copy-on-write counters, as deltas since this call."""
+    intern0 = T.intern_stats()
+    state0 = state_stats_snapshot()
+
+    def read():
+        intern = T.intern_stats()
+        state = state_stats_snapshot()
+        return {
+            "intern_hits": intern["hits"] - intern0["hits"],
+            "intern_misses": intern["misses"] - intern0["misses"],
+            **{key: state[key] - state0[key] for key in
+               ("state_clones", "path_cond_copies", "frame_cow_copies")},
+        }
+    return read
 
 
 def _model_eval(term, model):
@@ -192,15 +134,10 @@ class Explorer:
         # unconstrained control-plane values get random (seeded)
         # preferred assignments instead of the solver's defaults.
         self.randomize_values = config.randomize_values
-        # Hash-consing is a process-global mode switch: every term this
-        # run builds goes through (or around) the weak intern pool.
-        # Equality stays structural either way, so flipping it cannot
-        # change emitted tests (see smt/terms.py).
-        T.set_interning(config.intern)
-        # The pool counters are process-global; snapshot them so stats
-        # report this run's activity, not the process's.
-        self._intern_base = T.intern_stats()
-        self._state_base = state_stats_snapshot()
+        # The run record (smt/stats.py): the explorer, both solvers and
+        # the solve cache all count into it in place.
+        self.stats = RunStats()
+        self.stats.watch(_process_counters())
         # Two solvers (see module docstring).  The pruning solver only
         # answers statuses, so it gets the full elision pipeline and the
         # incremental status plane, whose models are history-dependent;
@@ -208,12 +145,14 @@ class Explorer:
         # objective, so elide and incremental on/off suites are
         # byte-identical at any jobs.
         self.solver = Solver(elide=config.elide,
-                             incremental=config.incremental)
-        self.solve_cache = SolveCache(capacity=config.cache_capacity)
-        self.model_solver = Solver(cache=self.solve_cache, elide=config.elide)
+                             incremental=config.incremental,
+                             stats=self.stats)
+        self.solve_cache = SolveCache(capacity=config.cache_capacity,
+                                      stats=self.stats)
+        self.model_solver = Solver(cache=self.solve_cache, elide=config.elide,
+                                   stats=self.stats)
         self.scope = MintScope()
         self.coverage = CoverageTracker(program)
-        self.stats = ExplorationStats()
         self.event_log: list[IterationRecord] = []
         self._iter_id = 0
         self._current_record: IterationRecord | None = None
@@ -321,32 +260,37 @@ class Explorer:
 
     def _explore(self, frontier: list[ExecutionState]):
         stats = self.stats
-        while frontier:
-            if self.max_tests is not None and stats.tests_emitted >= self.max_tests:
-                break
-            if self.max_paths is not None and stats.paths_finished >= self.max_paths:
-                break
-            if stats.steps >= self.max_steps:
-                break
-            if self.stop_at_full_coverage and self.coverage.fully_covered:
-                break
-            if (self.coverage_goal is not None
-                    and self.coverage.statement_percent >= self.coverage_goal):
-                break
-            state = self._pick(frontier)
-            self._begin_iteration()
-            successors = self._step_state(state)
-            multi = len(successors) > 1
-            if multi and self.prune_unsat:
-                successors = [s for s in successors if self._feasible(s)]
-            for s in successors:
-                if s.finished:
-                    test = self._handle_finished(s, multi)
-                    if test is not None:
-                        yield test
-                else:
-                    frontier.append(s)
-        self._sync_solver_stats()
+        try:
+            while frontier:
+                if self.max_tests is not None and stats.tests_emitted >= self.max_tests:
+                    break
+                if self.max_paths is not None and stats.paths_finished >= self.max_paths:
+                    break
+                if stats.steps >= self.max_steps:
+                    break
+                if self.stop_at_full_coverage and self.coverage.fully_covered:
+                    break
+                if (self.coverage_goal is not None
+                        and self.coverage.statement_percent >= self.coverage_goal):
+                    break
+                state = self._pick(frontier)
+                self._begin_iteration()
+                successors = self._step_state(state)
+                multi = len(successors) > 1
+                if multi and self.prune_unsat:
+                    successors = [s for s in successors if self._feasible(s)]
+                for s in successors:
+                    if s.finished:
+                        test = self._handle_finished(s, multi)
+                        if test is not None:
+                            yield test
+                    else:
+                        frontier.append(s)
+        finally:
+            # The run is over (exhausted, stopped by a limit, or closed
+            # by a consumer that stopped early): settle the watched
+            # values so later reads don't see other runs' activity.
+            stats.freeze()
 
     def split_frontier(self, min_states: int, max_iters: int):
         """Breadth-first expansion for parallel sharding.
@@ -376,7 +320,7 @@ class Explorer:
                 else:
                     frontier.append(s)
             iters += 1
-        self._sync_solver_stats()
+        self.stats.freeze()
         return list(frontier), not frontier
 
     def frontier_snapshot(self, states) -> FrontierSnapshot:
@@ -400,46 +344,7 @@ class Explorer:
             PathEvent(s.choice_path, immediate, test))
         if test is not None:
             self.stats.tests_emitted += 1
-            self._sync_solver_stats()
         return test
-
-    def _sync_solver_stats(self) -> None:
-        st = self.stats
-        ms = self.model_solver.stats
-        ps = self.solver.stats
-        st.solver_checks = ms.checks + ps.checks
-        st.cache_hits = ms.cache_hits
-        st.cache_misses = ms.cache_misses
-        st.cache_time_saved_s = ms.cache_time_saved
-        for field in ("sat_solves", "elide_hits_model", "elide_hits_rewrite",
-                      "elide_hits_subsume", "elide_misses", "rewrite_time_s",
-                      "elide_model_evictions", "elide_unsat_evictions"):
-            setattr(st, field, getattr(ms, field) + getattr(ps, field))
-        # Headline metric: of the incremental feasibility-pruning
-        # checks, how many never reached a SAT solve?
-        st.feasibility_checks = ps.checks
-        st.feasibility_elided = ps.elide_hits
-        # Incremental-plane counters live on the pruning solver only
-        # (the canonical solver never runs incrementally).
-        for field in ("inc_solves", "inc_levels_pushed", "inc_levels_popped",
-                      "inc_levels_reused", "inc_levels_assumed",
-                      "inc_learned_retained", "inc_learned_deleted",
-                      "inc_clauses_gced", "inc_db_reductions",
-                      "inc_heap_rebuilds", "inc_selectors_retired"):
-            setattr(st, field, getattr(ps, field))
-        st.solve_time_s = ms.solve_time + ps.solve_time
-        st.blast_time_s = ms.blast_time + ps.blast_time
-        istats = T.intern_stats()
-        st.intern_hits = istats["hits"] - self._intern_base["hits"]
-        st.intern_misses = istats["misses"] - self._intern_base["misses"]
-        st.intern_pool_size = istats["pool_size"]
-        st.blast_cache_hits = self.solve_cache.blast_hits
-        st.blast_cache_misses = self.solve_cache.blast_misses
-        st.blast_clauses_replayed = self.solve_cache.blast_clauses_replayed
-        st.blast_time_saved_s = self.solve_cache.blast_time_saved
-        snap = state_stats_snapshot()
-        for field in ("state_clones", "path_cond_copies", "frame_cow_copies"):
-            setattr(st, field, snap[field] - self._state_base[field])
 
     def generate(self, n: int | None = None) -> list[AbstractTestCase]:
         """Convenience: collect up to ``n`` tests into a list."""
@@ -455,42 +360,43 @@ class Explorer:
     # ------------------------------------------------------------------
 
     def _feasible(self, state: ExecutionState) -> bool:
-        if not state.path_cond:
-            return True
-        if self.solver.incremental:
-            status = self._feasible_incremental(state)
-        else:
-            status = self.solver.check(*state.path_cond)
-        if status != "sat":
-            self.stats.paths_pruned += 1
-            return False
-        return True
-
-    def _feasible_incremental(self, state: ExecutionState) -> str:
         """Status-only feasibility along the exploration tree.
 
         Three tiers, cheapest first.  The elider answers from witness
-        reuse or UNSAT subsumption without blasting anything; a
-        canonical-cache peek catches constraint sets a sibling path's
-        finalization already solved.  What remains rides the
-        incremental database: the pruning solver's assertion stack is
-        synced to the state's path condition (pop the stale suffix,
-        retiring those selector levels; push one level per new
-        conjunct), so the check re-propagates only the branch
+        reuse or UNSAT subsumption without blasting anything; on the
+        incremental plane, a canonical-cache peek catches constraint
+        sets a sibling path's finalization already solved.  What
+        remains is a SAT solve (``Solver.check_path``): incrementally,
+        the pruning solver's assertion stack is synced to the state's
+        path condition, so the check re-propagates only the branch
         constraint that actually changed, on top of the whole retained
         clause database.  Only the *status* leaves this method; models
         always come from the canonical solver.
         """
+        if not state.path_cond:
+            return True
         conjuncts = list(state.path_cond)
         solver = self.solver
+        stats = self.stats
         status = solver.try_elide_path(conjuncts)
         if status is not None:
-            return status
-        entry = self.solve_cache.peek(self.solve_cache.key_for(conjuncts))
-        if entry is not None:
-            self.stats.feasibility_cache_hits += 1
-            return entry.status
-        return solver.check_path(conjuncts)
+            stats.feasibility_checks += 1
+            stats.feasibility_elided += 1
+        else:
+            entry = None
+            if solver.incremental:
+                entry = self.solve_cache.peek(
+                    self.solve_cache.key_for(conjuncts))
+            if entry is not None:
+                stats.feasibility_cache_hits += 1
+                status = entry.status
+            else:
+                stats.feasibility_checks += 1
+                status = solver.check_path(conjuncts)
+        if status != "sat":
+            stats.paths_pruned += 1
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Finalization: path -> concrete test

@@ -49,15 +49,6 @@ def test_elision_on_and_off_emit_identical_suites(reference, jobs):
 
 
 @pytest.mark.parametrize("jobs", JOBS)
-def test_interning_on_and_off_emit_identical_suites(reference, jobs):
-    """Hash-consing changes how fast terms compare and how much CNF is
-    rebuilt, never which tests come out: the intern-off suite must be
-    byte-identical to the (intern-on by default) reference, at every
-    worker count."""
-    assert _suite_bytes(jobs, intern=False) == reference
-
-
-@pytest.mark.parametrize("jobs", JOBS)
 def test_incremental_on_and_off_emit_identical_suites(reference, jobs):
     """The incremental status plane only changes how feasibility
     *verdicts* are computed (assumption-scoped solves over a retained

@@ -3,7 +3,7 @@ the cache-backed Solver mode."""
 
 import pytest
 
-from repro.smt import SolveCache, Solver, terms as T
+from repro.smt import RunStats, SolveCache, Solver, terms as T
 from repro.smt.cache import canonical_string
 
 
@@ -49,19 +49,19 @@ def test_cache_hit_on_repeat_and_miss_on_new_constraints():
     cache = SolveCache()
     solver = Solver(cache=cache)
     c1, c2 = _constraints()
+    stats = cache.stats
     assert solver.check(c1, c2) == "sat"
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1)
     # Same set, different order: a hit.
     assert solver.check(c2, c1) == "sat"
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (stats.cache_hits, stats.cache_misses) == (1, 1)
     # A different constraint set never reuses the old entry.
     a, _b = _vars()
     c3 = T.eq(a, T.bv_const(9, 8))
     assert solver.check(c2, c3) == "sat"
-    assert (cache.hits, cache.misses) == (1, 2)
-    stats = cache.stats_dict()
-    assert stats["hits"] == 1 and stats["misses"] == 2
-    assert stats["entries"] == 2
+    assert (stats.cache_hits, stats.cache_misses) == (1, 2)
+    assert stats.cache_solves == 2
+    assert len(cache) == 2
 
 
 def test_hit_and_miss_produce_identical_models():
@@ -74,7 +74,7 @@ def test_hit_and_miss_produce_identical_models():
     warm = Solver(cache=warm_cache)
     warm.check(c1, c2)
     assert warm.check(c1, c2) == "sat"  # second query: a hit
-    assert warm_cache.hits == 1
+    assert warm_cache.stats.cache_hits == 1
     assert warm.model().as_dict() == cold_model
 
 
@@ -85,7 +85,7 @@ def test_cached_unsat_answers():
     contradiction = [T.eq(a, T.bv_const(1, 8)), T.eq(a, T.bv_const(2, 8))]
     assert solver.check(*contradiction) == "unsat"
     assert solver.check(*contradiction) == "unsat"
-    assert cache.hits == 1
+    assert cache.stats.cache_hits == 1
     with pytest.raises(RuntimeError):
         solver.model()
 
@@ -95,11 +95,11 @@ def test_time_saved_accumulates_on_hits():
     solver = Solver(cache=cache)
     c1, c2 = _constraints()
     solver.check(c1, c2)
-    assert cache.time_saved == 0.0
+    assert cache.stats.cache_time_saved_s == 0.0
     solver.check(c1, c2)
-    assert cache.time_saved > 0.0
-    assert solver.stats.cache_time_saved == cache.time_saved
-    assert solver.stats.as_dict()["cache_time_saved_s"] == cache.time_saved
+    # A hit is credited with what the original miss solve cost.
+    assert cache.stats.cache_time_saved_s > 0.0
+    assert cache.stats.cache_time_saved_s == cache.stats.cache_solve_time_s
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_lru_eviction_invalidates_oldest():
     assert cache.evictions == 1
     assert len(cache) == 1
     solver.check(c1)          # miss again: entry was invalidated
-    assert cache.misses == 3 and cache.hits == 0
+    assert cache.stats.cache_misses == 3 and cache.stats.cache_hits == 0
 
 
 def test_capacity_zero_disables_storage_not_canonical_solving():
@@ -125,7 +125,7 @@ def test_capacity_zero_disables_storage_not_canonical_solving():
     assert solver.check(c1, c2) == "sat"
     first = solver.model().as_dict()
     assert solver.check(c1, c2) == "sat"
-    assert cache.hits == 0 and cache.misses == 2
+    assert cache.stats.cache_hits == 0 and cache.stats.cache_misses == 2
     assert len(cache) == 0
     # Pure canonical solves: the repeat answer is still identical.
     assert solver.model().as_dict() == first
@@ -160,6 +160,13 @@ def test_cache_mode_push_pop_scopes_assertions():
 
 
 def test_solver_stats_expose_cache_counters():
-    stats = Solver(cache=SolveCache()).stats.as_dict()
-    for key in ("cache_hits", "cache_misses", "cache_time_saved_s"):
-        assert key in stats
+    # The explorer hands its model solver and solve cache one record.
+    record = RunStats()
+    cache = SolveCache(stats=record)
+    solver = Solver(cache=cache, stats=record)
+    c1, c2 = _constraints()
+    solver.check(c1, c2)
+    solver.check(c2, c1)
+    stats = record.as_dict()
+    assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
+    assert stats["cache_solves"] == 1 and stats["solver_checks"] == 2

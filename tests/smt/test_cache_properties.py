@@ -111,7 +111,7 @@ def test_hit_model_equals_fresh_canonical_solve(constraints, rng):
     shuffled = list(constraints)
     rng.shuffle(shuffled)
     assert warm.check(*shuffled) == fresh_status
-    assert cache.hits == 1
+    assert cache.stats.cache_hits == 1
     if fresh_status == "sat":
         assert warm.model().as_dict() == fresh.model().as_dict()
 
@@ -125,7 +125,7 @@ def test_renamed_hit_rebinds_model_to_new_variables(constraints):
     solver = Solver(cache=cache)
     status = solver.check(*constraints)
     assert solver.check(*renamed) == status
-    assert cache.hits == 1, "renamed twin set must hit the same entry"
+    assert cache.stats.cache_hits == 1, "renamed twin set must hit the same entry"
     if status != "sat":
         return
     # The hit's model speaks about the *renamed* variables, carrying

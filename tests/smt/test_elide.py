@@ -10,7 +10,7 @@ tell the truth about which layer answered.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.smt import QueryElider, SolveCache, Solver, SolverStats, terms as T
+from repro.smt import QueryElider, RunStats, SolveCache, Solver, terms as T
 
 WIDTH = 8
 
@@ -33,7 +33,7 @@ def _hard_atom(x, y, value):
 # ---------------------------------------------------------------------------
 
 def test_model_reuse_answers_sat():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats)
     x, y = _v("mr_x"), _v("mr_y")
     elider.note_model({x: 3, y: 4})
@@ -44,7 +44,7 @@ def test_model_reuse_answers_sat():
 
 
 def test_model_reuse_rejects_nonmatching_models():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats)
     x, y = _v("mm_x"), _v("mm_y")
     elider.note_model({x: 3, y: 5})
@@ -54,7 +54,7 @@ def test_model_reuse_rejects_nonmatching_models():
 
 
 def test_subsumption_answers_unsat_for_supersets():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats)
     x, y = _v("sub_x"), _v("sub_y")
     core = [_hard_atom(x, y, 1), T.not_(_hard_atom(x, y, 1))]
@@ -68,7 +68,7 @@ def test_subsumption_answers_unsat_for_supersets():
 
 
 def test_rewrite_layer_decides_and_seeds_caches():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats)
     x = _v("rw_x")
     status, witness = elider.try_answer([T.uge(x, _c(200))])
@@ -89,7 +89,7 @@ def test_rewrite_layer_decides_and_seeds_caches():
 
 
 def test_sat_ok_false_blocks_sat_answers_only():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats, sat_ok=False)
     x = _v("so_x")
     elider.note_model({x: 200})
@@ -98,7 +98,7 @@ def test_sat_ok_false_blocks_sat_answers_only():
 
 
 def test_eviction_counters():
-    stats = SolverStats()
+    stats = RunStats()
     elider = QueryElider(stats, max_models=2, max_unsat=2)
     x = _v("ev_x")
     for i in range(3):
@@ -109,20 +109,24 @@ def test_eviction_counters():
 
 
 # ---------------------------------------------------------------------------
-# Incremental solver wiring (full elision)
+# Status-plane solver wiring (full elision)
 # ---------------------------------------------------------------------------
+
+def _sat_solves(solver):
+    return solver._sat.stats["solves"]
+
 
 def test_incremental_solver_elides_sibling_queries():
     solver = Solver(elide=True)
     x, y = _v("inc_x"), _v("inc_y")
     hard = _hard_atom(x, y, 7)
     assert solver.check(hard) == "sat"
-    assert solver.stats.sat_solves == 1
+    assert _sat_solves(solver) == 1
     # The solve's model answers the compatible sibling query for free.
     model = solver.model()
     sibling = T.eq(T.bv_add(x, y), _c((model[x] + model[y]) % 256))
     assert solver.check(hard, sibling) == "sat"
-    assert solver.stats.sat_solves == 1
+    assert _sat_solves(solver) == 1
     assert solver.stats.elide_hits_model == 1
     # model() after an elided check returns the witnessing assignment.
     m = solver.model()
@@ -133,7 +137,7 @@ def test_incremental_solver_elides_word_level_unsat():
     solver = Solver(elide=True)
     x = _v("wl_x")
     assert solver.check(T.ult(x, _c(5)), T.uge(x, _c(10))) == "unsat"
-    assert solver.stats.sat_solves == 0
+    assert _sat_solves(solver) == 0
     assert solver.stats.elide_hits_rewrite == 1
 
 
@@ -161,11 +165,11 @@ def test_canonical_solver_elides_unsat_only():
     solver = Solver(cache=cache, elide=True)
     x = _v("can_x")
     assert solver.check(T.ult(x, _c(5)), T.uge(x, _c(10))) == "unsat"
-    assert solver.stats.sat_solves == 0
+    assert cache.stats.cache_solves == 0
     assert cache.elided_stores == 1
     # SAT queries always reach a real canonical solve...
     assert solver.check(T.uge(x, _c(100))) == "sat"
-    assert solver.stats.sat_solves == 1
+    assert cache.stats.cache_solves == 1
     # ...so the model is exactly what a fresh canonical solver binds.
     fresh = Solver(cache=SolveCache())
     fresh.check(T.uge(x, _c(100)))
@@ -181,7 +185,7 @@ def test_canonical_elided_unsat_is_a_cache_entry():
     # The second ask is a plain cache hit; the elider is not consulted.
     before = solver.stats.elide_hits_rewrite
     assert solver.check(*contradiction) == "unsat"
-    assert cache.hits == 1
+    assert cache.stats.cache_hits == 1
     assert solver.stats.elide_hits_rewrite == before
 
 

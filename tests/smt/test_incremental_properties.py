@@ -120,8 +120,15 @@ def test_check_path_agrees_with_fresh_solver(sequence):
         )
 
 
-def test_check_path_requires_incremental_mode():
-    import pytest
-
-    with pytest.raises(RuntimeError):
-        Solver().check_path([])
+def test_check_path_on_a_one_shot_solver_keeps_no_state():
+    # Without the incremental plane, check_path blasts the conjuncts as
+    # one-shot assumptions: no level survives the call.
+    x = _vars()[0]
+    one, two = T.eq(x, T.bv_const(1, WIDTH)), T.eq(x, T.bv_const(2, WIDTH))
+    solver = Solver()
+    assert solver.check_path([one]) == "sat"
+    assert solver.check_path([one, two]) == "unsat"
+    assert solver.check_path([two]) == "sat"
+    assert solver.depth == 0
+    assert solver.stats.feasibility_sat_solves == 3
+    assert solver.stats.inc_solves == 0

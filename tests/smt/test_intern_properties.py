@@ -2,14 +2,10 @@
 
 The contract under test, in decreasing order of subtlety:
 
-- with interning ON, building the same term twice yields the *same
-  object* (structural equality collapses to identity);
-- with interning OFF, independently built terms are still structurally
-  equal with equal hashes — equality is structural in both modes, which
-  is the invariant that makes the on/off suites byte-identical;
-- terms that straddle a mode flip or a pool clear still compare
-  correctly (the generation counter prevents stale identity
-  assumptions);
+- building the same term twice yields the *same object* (structural
+  equality collapses to identity);
+- terms that straddle a pool clear still compare correctly (the
+  generation counter prevents stale identity assumptions);
 - the pool is weak: it retains nothing once the program lets go, so
   back-to-back Engine runs do not accumulate terms;
 - the repr and substitute walkers stay linear on shared/deep DAGs.
@@ -17,7 +13,6 @@ The contract under test, in decreasing order of subtlety:
 
 import gc
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,17 +58,8 @@ def _build(recipe):
     return T.ite_bv(T.ult(x, y), x, _build(recipe[3]))
 
 
-# Module-scoped (function-scoped fixtures trip hypothesis's health
-# check under @given); tests that flip the switch restore it inline.
-@pytest.fixture(scope="module", autouse=True)
-def _interning_on():
-    T.set_interning(True)
-    yield
-    T.set_interning(True)
-
-
 # ---------------------------------------------------------------------------
-# Structural equality <=> identity (interning on)
+# Structural equality <=> identity
 # ---------------------------------------------------------------------------
 
 
@@ -87,22 +73,6 @@ def test_equal_structure_is_same_object_when_interning(recipe):
     assert a.tid == b.tid
 
 
-@given(_recipe)
-@settings(max_examples=100)
-def test_interning_off_keeps_structural_equality(recipe):
-    a = _build(recipe)  # interned
-    T.set_interning(False)
-    try:
-        b = _build(recipe)
-        c = _build(recipe)
-    finally:
-        T.set_interning(True)
-    # Off-mode builds are plain objects, but equality and hashing are
-    # structural in both modes — including across the mode boundary.
-    assert b == c and hash(b) == hash(c)
-    assert a == b and hash(a) == hash(b)
-
-
 @given(_recipe, _recipe)
 @settings(max_examples=100)
 def test_distinct_structures_never_compare_equal(r1, r2):
@@ -112,11 +82,6 @@ def test_distinct_structures_never_compare_equal(r1, r2):
         # Interning makes identity complete for structural equality:
         # distinct interned objects are structurally distinct.
         assert a != b
-        T.set_interning(False)
-        try:
-            assert _build(r1) != b
-        finally:
-            T.set_interning(True)
 
 
 @given(_recipe)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smt import Solver, SolveResult, terms as T
+from repro.smt import RunStats, SolveCache, Solver, SolveResult, terms as T
 
 
 def solve_one(*assertions):
@@ -170,13 +170,33 @@ def test_ite():
 
 def test_stats_accumulate():
     a = T.bv_var("a", 8)
-    s = Solver()
-    s.add(T.eq(a, T.bv_const(1, 8)))
-    s.check()
-    assert s.stats.checks == 1
-    assert s.stats.total_time >= 0.0
+    s = Solver(incremental=True)
+    assert s.check_path([T.eq(a, T.bv_const(1, 8))]) == "sat"
+    assert s.stats.feasibility_sat_solves == 1
+    assert s.stats.feasibility_solve_time_s >= 0.0
     d = s.stats.as_dict()
-    assert d["sat"] == 1
+    assert d["sat_solves"] == 1 and d["inc_solves"] == 1
+    assert d["inc_levels_pushed"] == 1
+
+
+def test_solvers_share_a_run_record():
+    a = T.bv_var("a", 8)
+    record = RunStats()
+    pruning = Solver(incremental=True, stats=record)
+    canonical = Solver(cache=SolveCache(stats=record), stats=record)
+    pruning.check_path([T.ult(a, T.bv_const(9, 8))])
+    canonical.check(T.eq(a, T.bv_const(3, 8)))
+    canonical.check(T.eq(a, T.bv_const(3, 8)))
+    stats = record.as_dict()
+    assert (stats["feasibility_sat_solves"], stats["cache_solves"]) == (1, 1)
+    assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
+    # Totals are derived from the plane counters, never counted twice.
+    assert stats["sat_solves"] == 2
+    assert stats["solver_checks"] == 2  # no feasibility_checks counted here
+    assert stats["solve_time_s"] == (stats["feasibility_solve_time_s"]
+                                     + stats["cache_solve_time_s"])
+    # The canonical miss solve blasted through the shared blast cache.
+    assert stats["blast_cache_hits"] + stats["blast_cache_misses"] >= 1
 
 
 def test_non_boolean_assertion_rejected():
@@ -209,7 +229,6 @@ def test_solve_result_is_its_status_string():
     assert isinstance(res, SolveResult) and isinstance(res, str)
     assert res == "sat" and res != "unsat"
     assert res.status == "sat"
-    assert res.stats is s.stats
     assert {res: 1}["sat"] == 1  # usable as a dict key
 
 
@@ -233,7 +252,9 @@ def test_check_and_model_attaches_model():
 def test_solve_result_pickles_without_stats():
     import pickle
 
-    res = SolveResult("unsat", stats=object())
+    # A SolveResult is its status plus the model; no solver state rides
+    # along, so it crosses a pickle whole.
+    res = SolveResult("unsat")
     clone = pickle.loads(pickle.dumps(res))
     assert clone == "unsat" and clone.model is None
-    assert clone.stats is None
+    assert not hasattr(clone, "stats")
